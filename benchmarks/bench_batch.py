@@ -9,15 +9,21 @@ for the whole grid, so the sweep cost amortizes across cells.
 
 Two claims are checked here:
 
-1. **Parity** -- ``engine="batch"`` reproduces the scalar Table 4.1
-   grid cell-for-cell (``GridCell.as_row()`` equality, which is
-   stricter than the solver tolerance: the batch engine is written to
-   be bit-identical).
+1. **Parity** -- ``run_grid`` (the production path, batch engine)
+   reproduces the per-cell scalar reference on the Table 4.1 grid
+   cell-for-cell (``GridCell.as_row()`` equality, which is stricter
+   than the solver tolerance: the batch engine is written to be
+   bit-identical).
 2. **Speedup** -- on the 16-combination stress grid the batched engine
    is >= 5x faster than the scalar per-cell loop at the engine tier
    (derive inputs -> solve -> assemble rows: what the service does for
    every cell).  The solver-only and end-to-end executor tiers are
    reported alongside.
+
+The scalar side of the ``table41`` and ``executor`` tiers is the
+per-cell reference loop (:func:`repro.service.executor.run_reference`,
+``evaluate_with_retry`` per task) -- what production ran before the
+batch engine became its only MVA path.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by the CI smoke job) shrinks
 the stress grid and relaxes the speedup floor -- tiny grids cannot
@@ -46,7 +52,8 @@ from repro.analysis.stress import stress_tasks
 from repro.core.batch import solve_batch
 from repro.core.model import TABLE_41_SIZES, CacheMVAModel
 from repro.service.executor import (SweepExecutor, evaluate_mva_batch,
-                                    evaluate_task)
+                                    evaluate_task, run_reference,
+                                    tasks_for_spec)
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -91,22 +98,25 @@ def _write_json(output_dir: Path, record: dict) -> None:
 
 
 def test_table41_grid_parity_and_speedup(benchmark, emit, output_dir):
-    """The batch engine reproduces the scalar Table 4.1 grid row-for-row."""
+    """``run_grid`` reproduces the scalar reference on the Table 4.1
+    grid row-for-row."""
     spec = GridSpec(protocols=[TABLE_41_PROTOCOLS[part]
                                for part in ("a", "b", "c")],
                     sizes=list(TABLE_41_SIZES))
+    tasks = tasks_for_spec(spec)
 
     def run_both():
-        scalar_s = _best(lambda: run_grid(spec))
-        batch_s = _best(lambda: run_grid(spec, engine="batch"))
-        scalar_rows = [c.as_row() for c in run_grid(spec)]
-        batch_rows = [c.as_row() for c in run_grid(spec, engine="batch")]
+        scalar_s = _best(lambda: run_reference(tasks))
+        batch_s = _best(lambda: run_grid(spec))
+        scalar_rows = [c.as_row() for c in run_reference(tasks).cells]
+        batch_rows = [c.as_row() for c in run_grid(spec)]
         return scalar_s, batch_s, scalar_rows, batch_rows
 
     scalar_s, batch_s, scalar_rows, batch_rows = once(benchmark, run_both)
     cells = len(scalar_rows)
     emit("batch.txt",
-         f"E14 Table 4.1 grid ({cells} cells), scalar vs batch engine:\n"
+         f"E14 Table 4.1 grid ({cells} cells), scalar reference vs "
+         f"run_grid (batch engine):\n"
          f"  scalar : {scalar_s * 1e3:7.1f} ms\n"
          f"  batch  : {batch_s * 1e3:7.1f} ms "
          f"({scalar_s / batch_s:.2f}x)\n"
@@ -129,9 +139,10 @@ def test_stress_grid_speedup(benchmark, emit, output_dir):
     * ``evaluate`` -- the engine tier (derive inputs, solve, assemble
       row dicts), the per-cell work a sweep actually performs and the
       tier the >= 5x acceptance floor applies to;
-    * ``executor`` -- end-to-end ``SweepExecutor.run`` including the
-      engine-independent bookkeeping (cache probes, metrics, GridCell
-      materialization) that dilutes the ratio.
+    * ``executor`` -- end-to-end ``SweepExecutor.run`` against the
+      scalar reference loop, both including the engine-independent
+      bookkeeping (GridCell materialization; cache probes and metrics
+      on the executor side) that dilutes the ratio.
     """
     tasks = stress_tasks(sizes=STRESS_SIZES)
     systems = [CacheMVAModel(t.workload, t.protocol, arch=t.arch).system(t.n)
@@ -157,8 +168,8 @@ def test_stress_grid_speedup(benchmark, emit, output_dir):
         tiers["evaluate"] = (_best(scalar_evaluate),
                              _best(lambda: evaluate_mva_batch(tasks)))
         tiers["executor"] = (
-            _best(lambda: SweepExecutor(engine="scalar").run(tasks)),
-            _best(lambda: SweepExecutor(engine="batch").run(tasks)))
+            _best(lambda: run_reference(tasks)),
+            _best(lambda: SweepExecutor().run(tasks)))
         return tiers
 
     tiers = once(benchmark, run_tiers)

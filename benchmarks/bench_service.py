@@ -4,12 +4,14 @@ The paper's efficiency claim (Section 3.2: "seconds of computing,
 independent of N") makes the MVA cheap enough to *serve*; this bench
 measures the two service-layer multipliers on top of it:
 
-1. a multi-protocol sweep with simulation cells fans out over the
-   sharded sweep queue, cutting wall-clock below the serial run;
-2. an MVA stress sweep through the queue's chunked dispatch beats the
-   serial scalar path >= 2x even on one core (chunk amortization: one
-   batch solve and one journal round-trip per lease, where the old
-   per-cell process pool recorded 0.96x -- pure pickling overhead);
+1. a multi-protocol sweep with simulation cells fans its simulation
+   cells out over the sharded sweep queue, cutting wall-clock below
+   the serial run;
+2. an MVA stress sweep through ``SweepExecutor(jobs=4)`` -- one
+   in-process vectorized batch solve; MVA cells are never forked --
+   beats the per-cell scalar reference loop (``evaluate_with_retry``
+   per task, what production ran at ``jobs=1`` before the batch engine
+   became its only MVA path) >= 2x on any core count;
 3. a repeated sweep with the content-addressed cache enabled re-solves
    zero cells (100 % hit rate).
 
@@ -33,6 +35,7 @@ from repro.analysis.grid import GridSpec
 from repro.analysis.stress import stress_tasks
 from repro.protocols.modifications import ProtocolSpec
 from repro.service import MetricsRegistry, ResultCache, SweepExecutor
+from repro.service.executor import run_reference
 from repro.workload.parameters import SharingLevel
 
 #: Quick mode (the CI smoke job) shrinks the simulation cells so the
@@ -96,56 +99,56 @@ def test_parallel_sweep_beats_serial(benchmark, emit):
     # Wall-clock can only drop when the machine has cores to fan out
     # to -- and enough per-cell work to hide start-up overhead, which
     # the shrunken quick-mode cells do not have.
-    if not QUICK and mode in ("process-pool", "chunked") and cores > 1:
+    if not QUICK and mode.endswith("+chunked") and cores > 1:
         assert parallel_s < serial_s, (
             f"4-worker sweep ({parallel_s:.2f}s) not faster than serial "
             f"({serial_s:.2f}s)")
 
 
-def test_chunked_stress_sweep_beats_serial(benchmark, emit):
-    """The sweep-queue satellite claim: chunked dispatch >= 2x over
-    serial on the MVA stress grid at jobs=4, replacing the 0.96x the
-    old per-cell process pool recorded here.  The gain is chunk
-    amortization (one vectorized batch solve and one journal
-    round-trip per lease), so it holds even on one core; see
-    ``bench_sweepq.py`` (E15) for the three-way dispatch comparison.
+def test_stress_sweep_beats_scalar_reference(benchmark, emit):
+    """``SweepExecutor(jobs=4)`` >= 2x over the per-cell scalar
+    reference loop on the MVA stress grid.  The gain is the batch
+    engine (one vectorized fixed point for the whole grid), so it holds
+    on any core count; see ``bench_sweepq.py`` (E15) for the sweep
+    queue's chunked workers on the same grid.
     """
     tasks = stress_tasks(sizes=(4, 16, 64) if QUICK
                          else tuple(range(4, 260, 8)))
-    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports / first-fork cost
+    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports
 
     def run_both():
         reps = 1 if QUICK else 3
-        serial_s = min(_timed(lambda: SweepExecutor(jobs=1).run(tasks))
+        serial_s = min(_timed(lambda: run_reference(tasks))
                        for _ in range(reps))
-        chunked_best = None
-        chunked_s = float("inf")
+        executor_best = None
+        executor_s = float("inf")
         for _ in range(reps):
             elapsed, result = _timed_result(
                 lambda: SweepExecutor(jobs=4).run(tasks))
-            if elapsed < chunked_s:
-                chunked_s, chunked_best = elapsed, result
-        serial = SweepExecutor(jobs=1).run(tasks)
-        rows_equal = ([c.as_row() for c in serial.cells]
-                      == [c.as_row() for c in chunked_best.cells])
-        return serial_s, chunked_s, chunked_best.summary.mode, rows_equal
+            if elapsed < executor_s:
+                executor_s, executor_best = elapsed, result
+        reference = run_reference(tasks)
+        rows_equal = ([c.as_row() for c in reference.cells]
+                      == [c.as_row() for c in executor_best.cells])
+        return serial_s, executor_s, executor_best.summary.mode, rows_equal
 
-    serial_s, chunked_s, mode, rows_equal = once(benchmark, run_both)
-    speedup = serial_s / chunked_s
+    serial_s, executor_s, mode, rows_equal = once(benchmark, run_both)
+    speedup = serial_s / executor_s
     emit("service.txt",
-         f"E13 chunked stress sweep ({len(tasks)} MVA cells, "
+         f"E13 stress sweep ({len(tasks)} MVA cells, "
          f"{os.cpu_count() or 1} cores):\n"
-         f"  serial         : {serial_s:7.3f} s\n"
-         f"  chunked jobs=4 : {chunked_s:7.3f} s ({mode}, "
+         f"  scalar reference : {serial_s:7.3f} s\n"
+         f"  executor jobs=4  : {executor_s:7.3f} s ({mode}, "
          f"{speedup:.2f}x)\n")
-    _write_json({"chunked_stress": {
-        "cells": len(tasks), "serial_s": serial_s, "chunked_s": chunked_s,
-        "mode": mode, "speedup": speedup, "rows_identical": rows_equal,
+    _write_json({"stress_sweep": {
+        "cells": len(tasks), "reference_s": serial_s,
+        "executor_s": executor_s, "mode": mode, "speedup": speedup,
+        "rows_identical": rows_equal,
         "speedup_floor": None if QUICK else 2.0}})
-    assert rows_equal, "chunked sweep must be bit-identical to serial"
+    assert rows_equal, "executor rows must equal the scalar reference"
     if not QUICK:
         assert speedup >= 2.0, (
-            f"chunked sweep only {speedup:.2f}x over serial "
+            f"executor only {speedup:.2f}x over the scalar reference "
             f"(floor 2.0x)")
 
 

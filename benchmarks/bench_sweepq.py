@@ -1,18 +1,21 @@
-"""E15: the sharded sweep queue -- chunked dispatch vs serial vs pool.
+"""E15: MVA sweep dispatch -- the executor vs the scalar reference vs
+the sharded sweep queue.
 
-The sweep queue (``repro.sweepq``) replaced the per-cell process pool
-with chunk leases: one IPC round-trip and one vectorized
-:func:`repro.core.batch.solve_batch` call per chunk instead of one
-pickled task per cell.  This bench records the wall-clock of the same
-MVA stress grid through three dispatch paths:
+MVA cells have one production path: :meth:`SweepExecutor.run` solves
+them in-process with one vectorized :func:`repro.core.batch.solve_batch`
+fixed point, whatever ``jobs`` is -- they are never forked.  This bench
+records the wall-clock of the same MVA stress grid three ways:
 
-* **serial**  -- ``SweepExecutor(jobs=1)``, the scalar reference;
-* **chunked** -- ``SweepExecutor(jobs=4)``, the queue-backed default;
-* **pool**    -- ``SweepExecutor(jobs=4, dispatch="cells")``, the old
-  per-cell process pool E13 used to measure (0.96x on one core).
+* **reference** -- :func:`repro.service.executor.run_reference`
+  (``evaluate_with_retry`` per task), the per-cell scalar loop
+  production ran at ``jobs=1`` before the batch engine took over;
+* **executor**  -- ``SweepExecutor(jobs=4).run(tasks)``, production;
+* **queue**     -- ``SweepQueue.run_tasks`` with workers capped at the
+  core count, the chunked worker path MVA cells used to take at
+  ``jobs>1`` (reported, not floored).
 
-Asserted: chunked >= 2x over serial, and rows byte-identical across
-all three paths.  Numbers land in ``output/sweepq.txt``
+Asserted: executor >= 2x over the reference, and rows byte-identical
+across all three paths.  Numbers land in ``output/sweepq.txt``
 (human-readable) and ``benchmarks/BENCH_sweepq.json`` (committed
 machine-readable trajectory; CI regenerates and uploads it as an
 artifact without overwriting the committed baseline).
@@ -33,17 +36,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import once  # noqa: E402
 
 from repro.analysis.stress import stress_tasks
-from repro.service.executor import SweepExecutor
+from repro.service.executor import (SweepExecutor, collect_sweep_result,
+                                    run_reference)
+from repro.sweepq import SweepQueue, auto_chunk_size
+from repro.sweepq.chunks import MVA_CHUNK_CAP
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 #: 16 protocol combinations x 4 parameter corners x these sizes.
 STRESS_SIZES = (4, 16, 64) if QUICK else tuple(range(4, 260, 8))
 
-#: Chunked-over-serial floor asserted on the full stress grid.  The
-#: container this repo is benchmarked on has one core, so the whole
-#: gain is chunk amortization (batch solves + one journal round-trip
-#: per lease), not parallelism -- measured ~2.9x, asserted with slack.
+#: Executor-over-reference floor asserted on the full stress grid.  The
+#: gain is the batch engine (one vectorized fixed point for the whole
+#: grid), not parallelism, so it holds on any core count.
 SPEEDUP_FLOOR = 2.0
 
 _REPS = 1 if QUICK else 3
@@ -61,56 +66,73 @@ def _best(fn, reps=_REPS):
     return min(times), result
 
 
-def test_chunked_sweep_vs_serial_vs_pool(benchmark, emit):
+def _run_queue(tasks, workers):
+    """One ephemeral queue run of ``tasks`` as a ``SweepResult``."""
+    queue = SweepQueue(chunk_size=auto_chunk_size(len(tasks), workers,
+                                                  cap=MVA_CHUNK_CAP))
+    try:
+        outcome = queue.run_tasks(tasks, workers=workers)
+    finally:
+        queue.close()
+    return collect_sweep_result(
+        tasks, dict(enumerate(outcome.values)), outcome.cached,
+        wall_seconds=outcome.wall_seconds, jobs=workers, mode=outcome.mode)
+
+
+def test_executor_vs_reference_vs_queue(benchmark, emit):
     tasks = stress_tasks(sizes=STRESS_SIZES)
-    SweepExecutor(jobs=4).run(tasks[:8])  # warm imports / first-fork cost
+    cores = os.cpu_count() or 1
+    workers = max(1, min(4, cores))
+    _run_queue(tasks[:8], workers)  # warm imports / first-fork cost
 
     def run_all():
-        serial_s, serial = _best(lambda: SweepExecutor(jobs=1).run(tasks))
-        chunked_s, chunked = _best(lambda: SweepExecutor(jobs=4).run(tasks))
-        pool_s, pool = _best(
-            lambda: SweepExecutor(jobs=4, dispatch="cells").run(tasks),
-            reps=1)  # the known-slow path: one timing is plenty
-        return serial_s, serial, chunked_s, chunked, pool_s, pool
+        reference_s, reference = _best(lambda: run_reference(tasks))
+        executor_s, executor = _best(
+            lambda: SweepExecutor(jobs=4).run(tasks))
+        queue_s, queue = _best(lambda: _run_queue(tasks, workers))
+        return reference_s, reference, executor_s, executor, queue_s, queue
 
-    serial_s, serial, chunked_s, chunked, pool_s, pool = once(
+    reference_s, reference, executor_s, executor, queue_s, queue = once(
         benchmark, run_all)
 
-    reference = [cell.as_row() for cell in serial.cells]
-    chunked_identical = [c.as_row() for c in chunked.cells] == reference
-    pool_identical = [c.as_row() for c in pool.cells] == reference
-    speedup = serial_s / chunked_s
+    reference_rows = [cell.as_row() for cell in reference.cells]
+    executor_identical = \
+        [c.as_row() for c in executor.cells] == reference_rows
+    queue_identical = [c.as_row() for c in queue.cells] == reference_rows
+    queue_mode = queue.summary.mode
+    speedup = reference_s / executor_s
 
     emit("sweepq.txt",
-         f"E15 sweep-queue dispatch on the stress grid "
-         f"({len(tasks)} MVA cells, {os.cpu_count() or 1} cores):\n"
-         f"  serial (jobs=1)          : {serial_s:7.3f} s\n"
-         f"  chunked (jobs=4)         : {chunked_s:7.3f} s "
-         f"({speedup:.2f}x, mode={chunked.summary.mode})\n"
-         f"  per-cell pool (jobs=4)   : {pool_s:7.3f} s "
-         f"({serial_s / pool_s:.2f}x, mode={pool.summary.mode})\n")
+         f"E15 MVA dispatch on the stress grid "
+         f"({len(tasks)} MVA cells, {cores} cores):\n"
+         f"  scalar reference         : {reference_s:7.3f} s\n"
+         f"  executor (jobs=4)        : {executor_s:7.3f} s "
+         f"({speedup:.2f}x, mode={executor.summary.mode})\n"
+         f"  sweep queue ({workers} workers) : {queue_s:7.3f} s "
+         f"({reference_s / queue_s:.2f}x, mode={queue_mode})\n")
 
     record = {
-        "schema": 1,
+        "schema": 2,
         "cells": len(tasks),
         "quick": QUICK,
-        "cores": os.cpu_count() or 1,
-        "serial_s": serial_s,
-        "chunked_s": chunked_s,
-        "pool_s": pool_s,
-        "chunked_speedup": speedup,
-        "pool_speedup": serial_s / pool_s,
-        "chunked_mode": chunked.summary.mode,
-        "pool_mode": pool.summary.mode,
-        "rows_identical": chunked_identical and pool_identical,
+        "cores": cores,
+        "reference_s": reference_s,
+        "executor_s": executor_s,
+        "executor_speedup": speedup,
+        "executor_mode": executor.summary.mode,
+        "queue_s": queue_s,
+        "queue_workers": workers,
+        "queue_speedup": reference_s / queue_s,
+        "queue_mode": queue_mode,
+        "rows_identical": executor_identical and queue_identical,
         "speedup_floor": None if QUICK else SPEEDUP_FLOOR,
     }
     out = Path(__file__).resolve().parent / "BENCH_sweepq.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
-    assert chunked_identical, "chunked rows must be identical to serial"
-    assert pool_identical, "pool rows must be identical to serial"
+    assert executor_identical, "executor rows must equal the reference"
+    assert queue_identical, "queue rows must equal the reference"
     if not QUICK:
         assert speedup >= SPEEDUP_FLOOR, (
-            f"chunked sweep {speedup:.2f}x over serial, "
+            f"executor {speedup:.2f}x over the scalar reference, "
             f"floor is {SPEEDUP_FLOOR}x")

@@ -10,7 +10,7 @@ Subcommands:
 * ``protocols``-- list the named protocol family
 * ``hierarchy``-- two-level-bus extension (clusters on a global bus)
 * ``estimate`` -- measure Appendix-A parameters from a synthetic trace
-* ``serve``    -- HTTP JSON evaluation service (cache + process pool)
+* ``serve``    -- HTTP JSON evaluation service (cache + coalescer)
 * ``sweep``    -- resumable sharded sweep through the journal-backed
   queue (worker leases, crash recovery, ``--resume JOB_ID``)
 * ``stress``   -- robustness sweep over extreme parameter corners with
@@ -225,13 +225,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # Everything goes through the service executor; the default
-    # (jobs=1, no cache) is byte-identical to the historical serial
+    # (jobs=1, no cache) is byte-identical to the historical per-cell
     # loop.  Per-cell failures become error rows plus a stderr summary;
     # --strict restores the old raise-on-first-error behaviour.
     try:
         cache = ResultCache(path=args.cache) if args.cache else None
         executor = SweepExecutor(jobs=args.jobs, cache=cache,
-                                 strict=args.strict, engine=args.engine)
+                                 strict=args.strict)
         result = executor.run_spec(spec)
     except CellFailedError as exc:  # --strict: fail the whole sweep
         print(f"error: {exc}", file=sys.stderr)
@@ -369,8 +369,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     from repro.analysis.stress import run_stress
 
     report = run_stress(sizes=tuple(args.n), jobs=args.jobs,
-                        engine=args.engine, sim_engine=args.sim_engine,
-                        sim_reps=args.sim_reps)
+                        sim_engine=args.sim_engine, sim_reps=args.sim_reps)
     print(report.text())
     if not report.isolated:  # pragma: no cover - invariant violation
         print("error: a cell failure leaked outside its row",
@@ -414,7 +413,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     front = "async" if getattr(args, "async") else "threaded"
     try:
         cache = ResultCache(path=args.cache) if args.cache else ResultCache()
-        common = dict(cache=cache, jobs=args.jobs, engine=args.engine,
+        common = dict(cache=cache, jobs=args.jobs,
                       sweep_state_dir=args.sweep_state_dir)
         if coalesce:
             service = ModelService.with_coalescer(
@@ -425,7 +424,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    settings = (f"jobs={args.jobs}, engine={args.engine}, front={front}, "
+    settings = (f"jobs={args.jobs}, front={front}, "
                 + (f"coalesce={args.coalesce_window_ms}ms/"
                    f"{args.max_batch} cells, " if coalesce
                    else "coalesce=off, ")
@@ -558,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--json", action="store_true")
     p_grid.add_argument("--output", "-o", help="write to a file")
     p_grid.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for the sweep (default: "
-                             "1, serial)")
+                        help="worker processes for --simulate rows "
+                             "(default: 1, serial); MVA cells are always "
+                             "one in-process batch")
     p_grid.add_argument("--cache",
                         help="persistent result-cache JSON file; repeat "
                              "runs reuse previously solved cells")
@@ -567,11 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort the sweep on the first failed cell "
                              "(default: isolate failures as error rows "
                              "and print a summary to stderr)")
-    p_grid.add_argument("--engine", choices=["scalar", "batch"],
-                        default="scalar",
-                        help="MVA backend: per-cell scalar solves "
-                             "(default) or one vectorized batch for the "
-                             "whole sweep")
     p_grid.add_argument("--sim-engine", choices=["scalar", "vector"],
                         default="scalar",
                         help="DES backend for --simulate rows: scalar "
@@ -639,11 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stress.add_argument("-n", type=int, nargs="+", default=[4, 16, 128],
                           help="system sizes per corner")
     p_stress.add_argument("--jobs", type=_positive_int, default=1,
-                          help="worker processes for the sweep")
-    p_stress.add_argument("--engine", choices=["scalar", "batch"],
-                          default="scalar",
-                          help="MVA backend: per-cell scalar solves "
-                               "(default) or one vectorized batch")
+                          help="worker processes for --sim-engine "
+                               "spot-check cells")
     p_stress.add_argument("--sim-engine", choices=["scalar", "vector"],
                           default=None,
                           help="opt-in DES spot-check: also simulate "
@@ -692,13 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8321,
                          help="TCP port (0 picks an ephemeral port)")
     p_serve.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes for grid sweeps")
+                         help="worker processes for simulation cells "
+                              "of grid sweeps")
     p_serve.add_argument("--cache",
                          help="persistent result-cache JSON file")
-    p_serve.add_argument("--engine", choices=["scalar", "batch"],
-                         default="scalar",
-                         help="default MVA backend for requests that do "
-                              "not set their own 'engine' field")
     p_serve.add_argument("--sweep-state-dir",
                          help="persistent directory for async /v1/sweep "
                               "jobs (journal survives restarts)")

@@ -11,10 +11,11 @@ solver into infrastructure that can serve that exploration at scale:
 * :mod:`repro.service.metrics`  -- counters and histograms (cache hit
   rate, solve latency, iterations-to-convergence) with a Prometheus
   text exposition;
-* :mod:`repro.service.executor` -- a parallel sweep executor fanning
-  grid cells over the chunked sweep queue (:mod:`repro.sweepq`) or the
-  legacy per-cell process pool, with deterministic ordering, per-cell
-  retry for simulation cells and graceful serial fallback;
+* :mod:`repro.service.executor` -- the sweep executor: MVA cells
+  solved in-process by one vectorized batch call, simulation cells
+  fanned over the chunked sweep queue (:mod:`repro.sweepq`), with
+  deterministic ordering, per-cell retry for simulation cells and
+  graceful serial fallback;
 * :mod:`repro.service.schema`   -- the typed request schemas
   (:class:`SolveRequest`, :class:`GridRequest`, :class:`SweepRequest`)
   shared by the versioned and legacy endpoints;
@@ -40,8 +41,6 @@ from repro.service.app import ModelService, ServiceError
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.coalesce import SolveCoalescer
 from repro.service.executor import (
-    DISPATCH_MODES,
-    ENGINES,
     CellFailedError,
     CellTask,
     ExecutorSummary,
@@ -70,8 +69,6 @@ __all__ = [
     "CellFailedError",
     "CellTask",
     "Counter",
-    "DISPATCH_MODES",
-    "ENGINES",
     "ExecutorSummary",
     "FailedCell",
     "Gauge",

@@ -220,13 +220,6 @@ class AsyncServiceServer:
             from repro.service.router import parse_json_body
             payload = parse_json_body(body)
             request, tasks = service.solve_prepare(payload, strict=True)
-            if not service.solve_uses_coalescer(request):
-                # Explicit per-request engine override: the coalescer
-                # always batches, so honour the request on the executor
-                # path (off-loop, like every other blocking route).
-                loop = asyncio.get_running_loop()
-                return Response.json(200, await loop.run_in_executor(
-                    None, lambda: service.solve(payload, strict=True)))
             started = time.perf_counter()
             future, cached_flags = coalescer.submit_request(tasks)
             values = (future.result() if future.done()

@@ -6,7 +6,7 @@ front-end that answers one request at a time never hands it more than a
 request's own cells.  :class:`SolveCoalescer` closes that gap: cells
 submitted by concurrent requests are parked in a queue for a short
 window (``window_ms``, default 2 ms) and then solved together by one
-:func:`repro.service.executor.evaluate_mva_batch` call, with per-cell
+:func:`repro.service.executor.solve_mva_cells` call, with per-cell
 results (and per-cell *errors* -- a poison cell only fails its own
 waiter) fanned back through one future per submission.
 
@@ -50,11 +50,11 @@ from typing import Any
 from repro.service.cache import ResultCache
 from repro.service.executor import (
     CellTask,
-    evaluate_mva_batch,
     evaluate_with_retry,
     record_failure_metric,
     record_solve_metrics,
     record_solve_metrics_batch,
+    solve_mva_cells,
 )
 from repro.service.metrics import DEFAULT_BATCH_BUCKETS, MetricsRegistry
 
@@ -332,12 +332,7 @@ class SolveCoalescer:
         mva = [i for i, task in enumerate(tasks) if task.method == "mva"]
         values: dict[int, dict[str, Any]] = {}
         if mva:
-            try:
-                results = evaluate_mva_batch([tasks[i] for i in mva])
-            except Exception:  # noqa: BLE001 - engine fallback, not cells
-                results = [evaluate_with_retry(tasks[i], self.sim_retries)
-                           for i in mva]
-            values.update(zip(mva, results))
+            values.update(zip(mva, solve_mva_cells([tasks[i] for i in mva])))
         for i, task in enumerate(tasks):
             if i not in values:
                 values[i] = evaluate_with_retry(task, self.sim_retries)

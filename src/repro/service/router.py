@@ -11,7 +11,7 @@ Routes::
 
     GET  /v1/healthz        liveness JSON
     GET  /v1/metrics        Prometheus text exposition
-    GET  /v1/capabilities   engines, dispatch modes, coalescing, limits
+    GET  /v1/capabilities   version, coalescing, limits, endpoints
     GET  /v1/jobs           every submitted async job with progress
     POST /v1/solve          one protocol, one or more sizes
     POST /v1/grid           full sweep (protocols x sharing x N)

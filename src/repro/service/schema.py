@@ -5,7 +5,7 @@ layer behind both the versioned ``/v1`` endpoints and the legacy
 unversioned ones: every field is validated here, with field names
 aligned to the ``repro grid`` CLI flags (``--protocols`` ->
 ``protocols``, ``-n`` -> ``n``, ``--simulate`` -> ``simulate``,
-``--jobs`` -> ``jobs``, ``--engine`` -> ``engine``, ...), so a request
+``--jobs`` -> ``jobs``, ...), so a request
 body reads like the equivalent command line.
 
 Parsing raises :class:`ServiceError`, which carries an HTTP status, a
@@ -25,7 +25,6 @@ from typing import Any, ClassVar
 from repro.analysis.grid import GridSpec
 from repro.protocols.family import PROTOCOLS
 from repro.protocols.modifications import ProtocolSpec, parse_mods
-from repro.service.executor import ENGINES
 from repro.workload.parameters import (
     ArchitectureParams,
     SharingLevel,
@@ -123,15 +122,6 @@ def parse_sizes(value: Any, field: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def parse_engine(value: Any) -> str | None:
-    """The MVA backend field (``None`` means the service default)."""
-    if value is None:
-        return None
-    require(isinstance(value, str) and value in ENGINES,
-            f"'engine' must be one of {list(ENGINES)}, got {value!r}")
-    return value
-
-
 def parse_int_field(payload: dict[str, Any], field: str, default: int,
                     minimum: int = 1) -> int:
     value = payload.get(field, default)
@@ -167,8 +157,7 @@ class SolveRequest:
          "n": 10 | [2, 6, 10],             # required
          "sharing": "5",                   # optional, default "5"
          "workload": {"tau": 3.0, ...},    # optional field overrides
-         "arch": {"block_size": 8, ...},   # optional field overrides
-         "engine": "scalar" | "batch"}     # optional MVA backend
+         "arch": {"block_size": 8, ...}}   # optional field overrides
     """
 
     protocol: ProtocolSpec
@@ -176,10 +165,9 @@ class SolveRequest:
     sharing: SharingLevel
     workload: WorkloadParameters
     arch: ArchitectureParams
-    engine: str | None = None
 
     FIELDS: ClassVar[frozenset[str]] = frozenset(
-        {"protocol", "n", "sharing", "workload", "arch", "engine"})
+        {"protocol", "n", "sharing", "workload", "arch"})
 
     @classmethod
     def from_payload(cls, payload: Any,
@@ -202,7 +190,6 @@ class SolveRequest:
                                      WorkloadParameters),
             arch=parse_overrides(payload, "arch", ArchitectureParams(),
                                  ArchitectureParams),
-            engine=parse_engine(payload.get("engine")),
         )
 
 
@@ -249,8 +236,7 @@ class GridRequest:
          "simulate": false,                   # optional
          "requests": 40000,                   # optional (simulate)
          "seed": 1234,                        # optional (simulate)
-         "jobs": 4,                           # optional worker count
-         "engine": "scalar" | "batch"}        # optional MVA backend
+         "jobs": 4}                           # optional worker count
     """
 
     protocols: tuple[ProtocolSpec, ...]
@@ -260,11 +246,10 @@ class GridRequest:
     requests: int = 40_000
     seed: int = 1234
     jobs: int | None = None
-    engine: str | None = None
 
     FIELDS: ClassVar[frozenset[str]] = frozenset(
         {"protocols", "n", "sharing", "simulate", "requests", "seed",
-         "jobs", "engine"})
+         "jobs"})
 
     @classmethod
     def from_payload(cls, payload: Any,
@@ -299,7 +284,6 @@ class GridRequest:
             requests=parse_int_field(payload, "requests", 40_000),
             seed=parse_int_field(payload, "seed", 1234, minimum=0),
             jobs=jobs,
-            engine=parse_engine(payload.get("engine")),
         )
 
     @property
@@ -335,9 +319,8 @@ class SweepRequest:
     ``/v1``-only (always strict): the response is a job handle, not
     rows -- poll ``GET /v1/sweep/{job_id}`` for progress and fetch the
     rows with a ``/v1/grid`` request once done (every solved cell lands
-    in the shared result cache).  There is no ``engine`` field: sweep
-    workers always solve MVA chunks with the vectorized batch engine
-    (byte-identical to scalar).
+    in the shared result cache).  Sweep workers solve MVA chunks with
+    the vectorized batch engine, like every other production path.
     """
 
     protocols: tuple[ProtocolSpec, ...]

@@ -8,7 +8,7 @@ The loop exits when every chunk of the job is terminal (done or
 failed).
 
 Inside a chunk the MVA cells are solved by **one** call to
-:func:`repro.service.executor.evaluate_mva_batch` -- the vectorized
+:func:`repro.service.executor.solve_mva_cells` -- the vectorized
 :func:`repro.core.batch.solve_batch` fixed point -- so one lease
 round-trip covers the whole slice; simulation cells take the scalar
 retrying path (they are seconds-per-cell, the dispatch overhead is
@@ -75,26 +75,17 @@ def solve_chunk(tasks: list[Any], start: int, stop: int,
                 sim_retries: int) -> dict[str, Any] | None:
     """Solve ``tasks[start:stop]`` into the store; return JSON extras.
 
-    MVA cells go through the batch engine in one call (falling back to
-    per-cell scalar solves only if the batch engine dies wholesale, so
-    a chunk can never fail where scalar cells would have succeeded);
-    simulation cells run the scalar retrying path.
+    MVA cells go through the production batch path in one call
+    (:func:`repro.service.executor.solve_mva_cells`); simulation cells
+    run the retrying per-cell path.
     """
-    from repro.service.executor import (
-        evaluate_mva_batch,
-        evaluate_with_retry,
-    )
+    from repro.service.executor import evaluate_with_retry, solve_mva_cells
 
     extras: dict[str, Any] = {}
     mva_indices = [i for i in range(start, stop)
                    if tasks[i].method == "mva"]
     if mva_indices:
-        mva_tasks = [tasks[i] for i in mva_indices]
-        try:
-            values = evaluate_mva_batch(mva_tasks)
-        except Exception:  # noqa: BLE001 - engine fallback, not cell errors
-            values = [evaluate_with_retry(task, sim_retries)
-                      for task in mva_tasks]
+        values = solve_mva_cells([tasks[i] for i in mva_indices])
         for index, value in zip(mva_indices, values):
             cell_extras = store.write(index, tasks[index], value)
             if cell_extras is not None:

@@ -5,8 +5,11 @@ the expensive detailed model within a few percent everywhere (Tables
 4.2/4.3, Section 5).  This module turns that claim into an executable
 oracle over our three engines:
 
-* **scalar MVA vs batch MVA** -- same equations, same coefficients, so
-  the declared tolerance is *zero*: every exported row field must be
+* **scalar MVA vs batch MVA** -- the per-cell scalar reference against
+  the production path (:meth:`~repro.service.executor.SweepExecutor.run`,
+  which solves MVA cells with the batch engine).  Same equations, same
+  coefficients, so the declared tolerance is *zero*: every exported row
+  field must be
   bit-identical (``==`` on the float, not approximately).  The batch
   engine freezes each lane the sweep it converges and mirrors the
   scalar operand grouping exactly, which is what makes this enforceable.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.model import CacheMVAModel
-from repro.service.executor import CellTask, SweepExecutor
+from repro.service.executor import CellTask, SweepExecutor, run_reference
 from repro.sim.config import SimulationConfig
 from repro.sim.system import simulate
 from repro.sim.vector import simulate_many
@@ -67,18 +70,23 @@ _ROW_FIELDS = ("speedup", "u_bus", "w_bus", "cycle_time",
 
 def diff_scalar_batch(tasks: Sequence[CellTask],
                       subject: str = "scalar-vs-batch") -> Audit:
-    """Run ``tasks`` through both MVA engines; rows must be identical.
+    """Run ``tasks`` through the reference and production paths; rows
+    must be identical.
 
-    Every cell is evaluated twice -- once per engine, uncached -- and
-    the exported :class:`~repro.analysis.grid.GridCell` rows are
-    compared field-for-field at zero tolerance.  Cache keys are
-    engine-independent in production, so any drift the oracle catches
-    here would silently poison shared cache entries; that is why the
-    tolerance is zero and not "close enough".
+    Every cell is evaluated twice, uncached -- once by the per-cell
+    scalar reference (:func:`~repro.service.executor.run_reference`,
+    failures isolated) and once by the production
+    :class:`~repro.service.executor.SweepExecutor` -- and the exported
+    :class:`~repro.analysis.grid.GridCell` rows are compared
+    field-for-field at zero tolerance.  The golden corpus and every
+    cache entry written before the batch engine became the production
+    path came from the scalar reference, so any drift the oracle
+    catches here would silently poison them; that is why the tolerance
+    is zero and not "close enough".
     """
     audit = Audit(subject=subject)
-    scalar = SweepExecutor(engine="scalar").run(tasks)
-    batch = SweepExecutor(engine="batch").run(tasks)
+    scalar = run_reference(tasks)
+    batch = SweepExecutor().run(tasks)
     for task, s_cell, b_cell in zip(tasks, scalar.cells, batch.cells):
         cell_subject = (f"{task.protocol.label} {task.sharing_label} "
                         f"N={task.n}")

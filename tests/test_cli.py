@@ -176,7 +176,7 @@ class TestGridServiceFlags:
         assert args.port == 8321
         assert args.jobs == 1
         assert args.cache is None
-        assert args.engine == "scalar"
+        assert not hasattr(args, "engine")
         assert getattr(args, "async") is False
         assert args.coalesce_window_ms == 2.0
         assert args.max_batch == 256
@@ -184,25 +184,36 @@ class TestGridServiceFlags:
 
 
 class TestEngineFlag:
-    """--engine batch must be output-identical to the scalar default."""
+    """The MVA ``--engine`` switch is gone: grid and stress always solve
+    with the batch engine, byte-identical to the scalar reference."""
 
     BASE = ["grid", "--protocols", "wo", "1", "-n", "2", "4"]
 
     def test_grid_batch_output_is_byte_identical(self, capsys):
+        from repro.analysis.grid import GridSpec, to_csv
+        from repro.cli import _grid_protocols
+        from repro.service.executor import run_reference, tasks_for_spec
+
         assert main(self.BASE) == 0
-        scalar = capsys.readouterr().out
-        assert main(self.BASE + ["--engine", "batch"]) == 0
-        assert capsys.readouterr().out == scalar
+        spec = GridSpec(
+            protocols=_grid_protocols(build_parser().parse_args(self.BASE)),
+            sizes=[2, 4])
+        reference = to_csv(run_reference(tasks_for_spec(spec)).cells)
+        assert capsys.readouterr().out == reference
 
     def test_stress_engine_batch(self, capsys):
-        assert main(["stress", "-n", "4", "--engine", "batch"]) == 0
+        assert main(["stress", "-n", "4"]) == 0
         out = capsys.readouterr().out
         assert "isolation invariant: ok" in out
         assert "(batch)" in out
 
     def test_bad_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(self.BASE + ["--engine", "quantum"])
+        for command in (self.BASE, ["stress", "-n", "4"],
+                        ["serve", "--port", "0"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--engine", "batch"])
+            assert excinfo.value.code == 2
+            assert "--engine" in capsys.readouterr().err
 
 
 class TestSweepSubcommand:

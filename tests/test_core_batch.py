@@ -209,12 +209,17 @@ class TestBatchProperty:
 
 
 class TestEngineParityInExecutor:
-    """ISSUE acceptance: identical cache keys and identical
-    ``GridCell.as_row()`` payloads between engines."""
+    """The production executor (batch engine) against the per-cell
+    scalar reference: identical ``GridCell.as_row()`` payloads, solve
+    metadata and cache values."""
 
-    def _run(self, engine):
+    def test_identical_cache_keys_and_rows(self):
         from repro.service.cache import ResultCache
-        from repro.service.executor import SweepExecutor, tasks_for_spec
+        from repro.service.executor import (
+            SweepExecutor,
+            run_reference,
+            tasks_for_spec,
+        )
         from repro.analysis.grid import GridSpec
 
         spec = GridSpec(
@@ -223,44 +228,45 @@ class TestEngineParityInExecutor:
         )
         tasks = tasks_for_spec(spec)
         cache = ResultCache()
-        result = SweepExecutor(cache=cache, engine=engine).run(tasks)
-        return tasks, cache, result
-
-    def test_identical_cache_keys_and_rows(self):
-        tasks_s, cache_s, scalar = self._run("scalar")
-        tasks_b, cache_b, batch = self._run("batch")
-        # Cache keys are content-addressed over the task, not the
-        # engine, so both engines fill identical key sets.
-        keys_s = {task.key for task in tasks_s}
-        keys_b = {task.key for task in tasks_b}
-        assert keys_s == keys_b
-        assert len(cache_s) == len(cache_b) == len(tasks_s)
-        # ... and identical row payloads.
+        batch = SweepExecutor(cache=cache).run(tasks)
+        scalar = run_reference(tasks)
+        assert len(cache) == len(tasks)
         for a, b in zip(scalar.cells, batch.cells):
             assert a.as_row() == b.as_row()
-        # Solve metadata matches too, modulo wall-clock.
-        for a, b in zip(scalar.meta, batch.meta):
-            assert {k: v for k, v in a.items() if k != "elapsed_s"} == \
-                {k: v for k, v in b.items() if k != "elapsed_s"}
+        # Solve metadata matches too, modulo wall-clock -- and so does
+        # what the cache stored under each content-addressed key.
+        def timeless(value):
+            return {k: v for k, v in value.items()
+                    if k not in ("elapsed_s", "cell")}
+        for task, a, b in zip(tasks, scalar.meta, batch.meta):
+            assert timeless(a) == timeless(b)
+            assert timeless(cache.get(task.key)) == timeless(a)
 
     def test_batch_engine_serves_scalar_cache_entries(self):
-        """A cache written by one engine is a 100% hit for the other."""
+        """A cache written from reference values (every pre-batch store)
+        is a 100% hit for production, with identical rows."""
         from repro.service.cache import ResultCache
-        from repro.service.executor import SweepExecutor, tasks_for_spec
+        from repro.service.executor import (
+            SweepExecutor,
+            evaluate_with_retry,
+            run_reference,
+            tasks_for_spec,
+        )
         from repro.analysis.grid import GridSpec
 
         spec = GridSpec(protocols=[ProtocolSpec.of(1)], sizes=[4, 8])
         tasks = tasks_for_spec(spec)
         cache = ResultCache()
-        first = SweepExecutor(cache=cache, engine="scalar").run(tasks)
-        second = SweepExecutor(cache=cache, engine="batch").run(tasks)
-        assert first.summary.cache_hits == 0
-        assert second.summary.cache_hits == len(tasks)
-        for a, b in zip(first.cells, second.cells):
+        for task in tasks:
+            cache.put(task.key, evaluate_with_retry(task, 0))
+        result = SweepExecutor(cache=cache).run(tasks)
+        assert result.summary.cache_hits == len(tasks)
+        for a, b in zip(run_reference(tasks).cells, result.cells):
             assert a.as_row() == b.as_row()
 
     def test_rejects_unknown_engine(self):
+        """The engine switch is gone: batch is the only production path."""
         from repro.service.executor import SweepExecutor
 
-        with pytest.raises(ValueError, match="engine"):
-            SweepExecutor(engine="quantum")
+        with pytest.raises(TypeError, match="engine"):
+            SweepExecutor(engine="scalar")

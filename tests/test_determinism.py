@@ -9,10 +9,10 @@ own:
   produce *byte-identical* statistics, not merely statistically
   compatible ones;
 * the sweep executor returns rows in task order regardless of worker
-  count (``jobs=1`` vs ``jobs=4``) and of MVA engine, so diffs of two
-  sweeps line up row for row;
+  count (``jobs=1`` vs ``jobs=4``), and its batch-engine rows equal the
+  per-cell scalar reference, so diffs of two sweeps line up row for row;
 * the sharded sweep queue produces rows byte-identical to the serial
-  scalar executor regardless of worker count, chunk size, or
+  scalar reference regardless of worker count, chunk size, or
   crash/resume history;
 * different seeds actually change the sample (guarding against a seed
   that is silently ignored).
@@ -25,7 +25,7 @@ import json
 
 from repro.analysis.grid import GridSpec
 from repro.protocols.modifications import ProtocolSpec
-from repro.service.executor import SweepExecutor, tasks_for_spec
+from repro.service.executor import SweepExecutor, run_reference, tasks_for_spec
 from repro.sim.config import SimulationConfig
 from repro.sim.system import simulate
 from repro.workload.parameters import SharingLevel, appendix_a_workload
@@ -73,10 +73,15 @@ class TestSimulatorDeterminism:
                 == [v.as_dict() for v in second.violations])
 
 
-def _rows(spec: GridSpec, jobs: int, engine: str):
-    result = SweepExecutor(jobs=jobs, engine=engine).run(
-        tasks_for_spec(spec))
+def _rows(spec: GridSpec, jobs: int):
+    result = SweepExecutor(jobs=jobs).run(tasks_for_spec(spec))
     return [cell.as_row() for cell in result.cells]
+
+
+def _reference_rows(spec: GridSpec):
+    """The per-cell scalar reference every production run must match."""
+    return [cell.as_row()
+            for cell in run_reference(tasks_for_spec(spec)).cells]
 
 
 class TestExecutorDeterminism:
@@ -91,19 +96,19 @@ class TestExecutorDeterminism:
     )
 
     def test_row_order_and_values_survive_parallelism(self):
-        """jobs=4 fans cells out to worker processes; the assembled
-        rows (order *and* float values) must match the serial run."""
-        assert _rows(self.SPEC, jobs=1, engine="scalar") == \
-            _rows(self.SPEC, jobs=4, engine="scalar")
+        """jobs=4 fans simulation cells out to worker processes; the
+        assembled rows (order *and* float values) must match the serial
+        run."""
+        assert _rows(self.SPEC, jobs=1) == _rows(self.SPEC, jobs=4)
 
     def test_row_order_and_values_survive_engine_choice(self):
-        assert _rows(self.SPEC, jobs=1, engine="scalar") == \
-            _rows(self.SPEC, jobs=1, engine="batch")
+        """Production (batch MVA) rows == scalar reference rows."""
+        assert _rows(self.SPEC, jobs=1) == _reference_rows(self.SPEC)
 
     def test_parallel_batch_matches_serial_scalar(self):
-        """The cross term: both knobs turned at once."""
-        assert _rows(self.SPEC, jobs=1, engine="scalar") == \
-            _rows(self.SPEC, jobs=4, engine="batch")
+        """The cross term: production at jobs=4 against the serial
+        scalar reference."""
+        assert _rows(self.SPEC, jobs=4) == _reference_rows(self.SPEC)
 
 
 class TestSweepQueueDeterminism:
@@ -141,7 +146,7 @@ class TestSweepQueueDeterminism:
         """workers in {1, 4}, two chunk sizes, one SIGKILLed worker and
         one interrupted-then-resumed run: every variant must reproduce
         the serial scalar executor's rows byte for byte."""
-        serial = _rows(self.SPEC, jobs=1, engine="scalar")
+        serial = _reference_rows(self.SPEC)
 
         rows, _ = self._queue_rows(tmp_path, "w1", workers=1,
                                    chunk_size=3)

@@ -74,13 +74,14 @@ class TestRoutes:
         assert [r["n_processors"] for r in payload["results"]] == [4, 10]
         assert handle.service.coalescer.stats()["cells"] == 2
 
-    def test_explicit_engine_bypasses_coalescer(self, handle):
+    def test_engine_field_is_rejected(self, handle):
         status, body = _post(handle.url, "/v1/solve",
                              {"protocol": "berkeley", "n": 6,
                               "engine": "scalar"})
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["summary"]["mode"] != "coalesced"
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "unknown-field"
+        assert error["detail"]["unknown"] == ["engine"]
         assert handle.service.coalescer.stats()["cells"] == 0
 
     def test_solve_error_envelope(self, handle):

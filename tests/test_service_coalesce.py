@@ -17,7 +17,8 @@ import urllib.request
 import pytest
 
 import repro.service.coalesce as coalesce_module
-from repro.service import ModelService, SolveCoalescer, start_server
+import repro.service.executor as executor_module
+from repro.service import ModelService, ServiceError, SolveCoalescer, start_server
 from repro.service.cache import ResultCache
 from repro.service.coalesce import FLUSH_REASONS
 from repro.service.executor import CellTask
@@ -36,7 +37,7 @@ def _task(n, protocol="berkeley"):
 
 def _poison(monkeypatch, bad_n):
     """Make the batch engine return an error payload for n == bad_n."""
-    real = coalesce_module.evaluate_mva_batch
+    real = executor_module.evaluate_mva_batch
 
     def poisoned(tasks):
         results = real(tasks)
@@ -47,7 +48,7 @@ def _poison(monkeypatch, bad_n):
                               "attempts": 1, "elapsed_s": 0.0}
         return results
 
-    monkeypatch.setattr(coalesce_module, "evaluate_mva_batch", poisoned)
+    monkeypatch.setattr(executor_module, "evaluate_mva_batch", poisoned)
 
 
 class TestFlushTriggers:
@@ -147,7 +148,7 @@ class TestPoisonIsolation:
         def explode(tasks):
             raise RuntimeError("batch engine down")
 
-        monkeypatch.setattr(coalesce_module, "evaluate_mva_batch", explode)
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", explode)
         coalescer = SolveCoalescer(window_ms=20, max_batch=64)
         try:
             futures, _ = coalescer.submit_all([_task(2), _task(4)])
@@ -256,15 +257,16 @@ class TestFlusherResilience:
 
 
 class TestEngineOverride:
-    def test_explicit_engine_bypasses_the_coalescer(self):
-        """A request that pins ``engine`` must be honoured: coalesced
-        batches always use the batch engine, so the request solves on
-        the executor path instead of being silently overridden."""
+    def test_engine_field_never_reaches_the_coalescer(self):
+        """There is no engine override to honour any more: a strict
+        request that sets ``engine`` is rejected before it is queued,
+        and every other request is coalesced."""
         service = ModelService.with_coalescer(window_ms=5)
         try:
-            explicit = service.solve({"protocol": "berkeley", "n": 4,
-                                      "engine": "scalar"})
-            assert explicit["summary"]["mode"] != "coalesced"
+            with pytest.raises(ServiceError) as excinfo:
+                service.solve({"protocol": "berkeley", "n": 4,
+                               "engine": "scalar"}, strict=True)
+            assert excinfo.value.code == "unknown-field"
             assert service.coalescer.stats()["cells"] == 0
             default = service.solve({"protocol": "berkeley", "n": 6})
             assert default["summary"]["mode"] == "coalesced"

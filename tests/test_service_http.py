@@ -167,14 +167,19 @@ class TestFailureSemantics:
     surviving cell is a request-level error."""
 
     def _poison(self, monkeypatch, dead_sizes):
+        """Make the batch engine fail the cells at ``dead_sizes``."""
         import repro.service.executor as executor_module
-        real = executor_module.evaluate_task
+        real = executor_module.evaluate_mva_batch
 
-        def poisoned(task):
-            if task.n in dead_sizes:
-                raise RuntimeError(f"injected failure at N={task.n}")
-            return real(task)
-        monkeypatch.setattr(executor_module, "evaluate_task", poisoned)
+        def poisoned(tasks):
+            values = real(tasks)
+            for index, task in enumerate(tasks):
+                if task.n in dead_sizes:
+                    values[index] = executor_module._error_payload(
+                        task, RuntimeError(f"injected failure at N={task.n}"),
+                        1, 0.0)
+            return values
+        monkeypatch.setattr(executor_module, "evaluate_mva_batch", poisoned)
 
     def test_partial_failure_is_200_with_error_row(self, server,
                                                    monkeypatch):
@@ -306,9 +311,8 @@ class TestCapabilities:
         assert status == 200
         payload = json.loads(body)
         assert payload["api_version"] == "v1"
-        assert payload["engines"] == ["scalar", "batch"]
-        assert payload["default_engine"] == "scalar"
-        assert payload["dispatch_modes"] == ["auto", "cells", "chunked"]
+        assert not {"engines", "default_engine",
+                    "dispatch_modes"} & set(payload)
         assert payload["coalesce"] == {"enabled": False}
         assert payload["limits"]["max_grid_cells"] == 4096
         assert "/v1/solve" in payload["endpoints"]["post"]

@@ -8,7 +8,7 @@ module covers the contract details on top:
 * strict request parsing (unknown top-level fields are a 400);
 * the retired legacy endpoints answering 410 ``gone`` everywhere;
 * ``Allow`` headers on 405 responses;
-* the ``engine`` request field and the typed schema module itself.
+* the retired ``engine`` request field and the typed schema module itself.
 """
 
 import json
@@ -63,7 +63,7 @@ class TestV1Routes:
         assert status == 200
         payload = json.loads(body)
         assert payload["status"] == "ok"
-        assert payload["engine"] == "scalar"
+        assert "engine" not in payload
         assert "Deprecation" not in headers
 
     def test_metrics(self, server):
@@ -115,7 +115,7 @@ class TestV1ErrorEnvelope:
         status, _, payload = _post(server, "/v1/solve", {
             "protocol": "berkeley", "n": 4, "engine": "quantum"})
         assert status == 400
-        assert payload["error"]["code"] == "bad-request"
+        assert payload["error"]["code"] == "unknown-field"
         assert "'engine'" in payload["error"]["message"]
 
     def test_unknown_top_level_field_rejected(self, server):
@@ -165,41 +165,51 @@ class TestLegacyRetirement:
 
 
 class TestEngineField:
+    """The ``engine`` field is retired: batch is the only production MVA
+    path, and ``/v1``'s strict parsing rejects the field like any other
+    unknown one."""
+
     def test_solve_with_batch_engine_matches_scalar(self, server):
-        scalar = _post(server, "/v1/solve",
-                       {"protocol": "berkeley", "n": [4, 10]})[2]
-        # Fresh service so the cache cannot mask the engine.
-        batch_server = start_server(ModelService())
-        thread = threading.Thread(target=batch_server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            batch = _post(batch_server, "/v1/solve",
-                          {"protocol": "berkeley", "n": [4, 10],
-                           "engine": "batch"})[2]
-        finally:
-            batch_server.shutdown()
-            batch_server.server_close()
-            thread.join(timeout=5)
+        from repro.service.executor import run_reference
+
+        body = {"protocol": "berkeley", "n": [4, 10]}
+        status, _, batch = _post(server, "/v1/solve", body)
+        assert status == 200
         assert batch["summary"]["mode"] == "batch"
+        _, tasks = ModelService().solve_prepare(body)
         assert [r["speedup"] for r in batch["results"]] == \
-            [r["speedup"] for r in scalar["results"]]
+            [c.speedup for c in run_reference(tasks).cells]
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/solve", {"protocol": "berkeley", "n": 4}),
+        ("/v1/grid", {"protocols": ["write-once"], "n": [2]}),
+    ])
+    def test_engine_field_is_an_unknown_field(self, server, path, body):
+        status, _, payload = _post(server, path, dict(body, engine="batch"))
+        assert status == 400
+        error = payload["error"]
+        assert error["code"] == "unknown-field"
+        assert error["detail"]["unknown"] == ["engine"]
 
     def test_grid_engine_field(self, server):
         status, _, payload = _post(server, "/v1/grid", {
-            "protocols": ["write-once"], "n": [2, 4], "sharing": ["5"],
-            "engine": "batch"})
+            "protocols": ["write-once"], "n": [2, 4], "sharing": ["5"]})
         assert status == 200
         assert payload["summary"]["mode"] == "batch"
         assert all(c["status"] == "ok" for c in payload["cells"])
+        status, _, payload = _post(server, "/v1/grid", {
+            "protocols": ["write-once"], "n": [2, 4], "sharing": ["5"],
+            "engine": "scalar"})
+        assert status == 400
+        assert payload["error"]["code"] == "unknown-field"
 
     def test_service_default_engine(self):
-        service = ModelService(engine="batch")
+        service = ModelService()
         payload = service.grid({"protocols": ["write-once"], "n": [2],
                                 "sharing": ["5"]})
         assert payload["summary"]["mode"] == "batch"
-        with pytest.raises(ValueError):
-            ModelService(engine="quantum")
+        with pytest.raises(TypeError):
+            ModelService(engine="batch")
 
 
 class TestSchemaModule:
@@ -208,7 +218,7 @@ class TestSchemaModule:
             {"protocol": "berkeley", "n": 4})
         assert request.sizes == (4,)
         assert request.sharing is SharingLevel.FIVE_PERCENT
-        assert request.engine is None
+        assert not hasattr(request, "engine")
 
     def test_grid_request_cell_count_doubles_with_simulate(self):
         base = {"protocols": ["write-once"], "n": [2, 4],
@@ -240,7 +250,7 @@ class TestSchemaModule:
     def test_lenient_accepts_unknown_fields(self):
         request = GridRequest.from_payload(
             {"protocols": ["write-once"], "n": [2], "engines": "batch"})
-        assert request.engine is None
+        assert request.protocols[0].label == "Write-Once"
 
     def test_bad_requests_field(self):
         with pytest.raises(ServiceError) as excinfo:
