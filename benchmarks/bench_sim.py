@@ -20,6 +20,14 @@ Two claims are checked here:
    whole point of the lockstep layout); the reps axis is swept on the
    base Write-Once combination and reported alongside.
 
+3. **Cross-cell launches** -- the verify full tier's MVA-vs-DES leg
+   (all 16 combinations at N in {4, 16}, 16 replications x 5000
+   measured requests each) runs >= 3x faster as one merged 512-lane
+   launch (:func:`repro.sim.vector.simulate_cells`) than as 32
+   per-cell launches, with bit-identical per-replication rows.  A tick
+   costs a fixed interpreter overhead whatever its width, so merging
+   cells divides the tick count by the number of cells.
+
 The engines are *statistically* equivalent, not bit-equal (different
 uniform streams per seed; ``repro verify --tier full`` owns that
 oracle), so this bench records the aggregate speedup gap per combo as
@@ -47,7 +55,7 @@ from conftest import once  # noqa: E402
 from repro.protocols.modifications import all_combinations
 from repro.sim.config import SimulationConfig
 from repro.sim.system import SnoopingBusSimulator
-from repro.sim.vector import simulate_many
+from repro.sim.vector import simulate_cells, simulate_many
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -70,6 +78,14 @@ SPEEDUP_FLOOR = 1.0 if QUICK else 10.0
 _CORPUS = all_combinations()
 if QUICK:
     _CORPUS = _CORPUS[:4]
+
+#: The cross-cell case: the verify full tier's DES leg (quick mode runs
+#: a small version of it and asserts no floor).
+CROSS_SIZES = (4, 16)
+CROSS_REPS = 4 if QUICK else 16
+CROSS_MEASURED = 1_000 if QUICK else 5_000
+CROSS_FLOOR = None if QUICK else 3.0
+_CROSS_CORPUS = _CORPUS if QUICK else all_combinations()
 
 
 def _config(spec, seed=SEED):
@@ -197,3 +213,68 @@ def test_corpus_throughput(benchmark, emit, output_dir):
     assert ratio >= SPEEDUP_FLOOR, (
         f"vector engine {ratio:.2f}x over scalar on the validation "
         f"corpus, below the {SPEEDUP_FLOOR}x floor")
+
+
+def _cross_cells():
+    workload = appendix_a_workload(SharingLevel.FIVE_PERCENT)
+    cells = []
+    for spec in _CROSS_CORPUS:
+        for n in CROSS_SIZES:
+            config = SimulationConfig(
+                n_processors=n, workload=workload, protocol=spec,
+                seed=SEED + n, measured_requests=CROSS_MEASURED)
+            cells.append((config, [SEED + n + r for r in range(CROSS_REPS)]))
+    return cells
+
+
+def _rows(result):
+    """Every per-replication field of one cell's result, as lists."""
+    return {name: getattr(result, name).tolist()
+            for name in ("requests_measured", "elapsed_cycles",
+                         "mean_cycle_time", "speedup",
+                         "speedup_ci_halfwidth", "processing_power",
+                         "u_bus", "u_mem", "w_bus", "w_bus_stddev",
+                         "q_bus_seen", "mean_interference_wait",
+                         "bus_transactions", "response_means",
+                         "response_counts")}
+
+
+def test_cross_cell_launch(benchmark, emit, output_dir):
+    """>= 3x on the verify DES leg from merging its cells' launches."""
+    cells = _cross_cells()
+
+    def run_both():
+        per_cell, per_cell_s = _timed(lambda: [
+            simulate_many(config, len(seeds), seeds)
+            for config, seeds in cells])
+        merged, merged_s = _timed(lambda: simulate_cells(cells))
+        return per_cell, per_cell_s, merged, merged_s
+
+    per_cell, per_cell_s, merged, merged_s = once(benchmark, run_both)
+    assert [_rows(r) for r in merged] == [_rows(r) for r in per_cell], (
+        "a merged launch must reproduce every per-cell row bit for bit")
+    ratio = per_cell_s / merged_s
+    lanes = len(cells) * CROSS_REPS
+    requests = lanes * (cells[0][0].warmup_requests + CROSS_MEASURED)
+    floor = "no floor" if CROSS_FLOOR is None else f"floor {CROSS_FLOOR}x"
+    lines = [f"E17 cross-cell launch ({len(cells)} cells x {CROSS_REPS} "
+             f"reps x {CROSS_MEASURED} measured requests"
+             f"{', quick mode' if QUICK else ''}):",
+             f"  {len(cells)} per-cell launches: {per_cell_s:7.2f} s "
+             f"({1e6 * per_cell_s / requests:5.2f} us/request)",
+             f"  one {lanes}-lane launch : {merged_s:7.2f} s "
+             f"({1e6 * merged_s / requests:5.2f} us/request)",
+             f"  speedup {ratio:.2f}x ({floor}); rows identical"]
+    record = {"cells": len(cells), "reps": CROSS_REPS,
+              "sizes": list(CROSS_SIZES),
+              "warmup_requests": cells[0][0].warmup_requests,
+              "measured_requests": CROSS_MEASURED, "lanes": lanes,
+              "per_cell_s": per_cell_s, "merged_s": merged_s,
+              "speedup_x": ratio, "speedup_floor": CROSS_FLOOR,
+              "rows_identical": True, "quick": QUICK}
+    emit("sim.txt", "\n".join(lines) + "\n")
+    _write_json(output_dir, {"cross_cell": record})
+    if CROSS_FLOOR is not None:
+        assert ratio >= CROSS_FLOOR, (
+            f"merged launch {ratio:.2f}x over per-cell launches, below "
+            f"the {CROSS_FLOOR}x floor")

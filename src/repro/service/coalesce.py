@@ -6,7 +6,9 @@ front-end that answers one request at a time never hands it more than a
 request's own cells.  :class:`SolveCoalescer` closes that gap: cells
 submitted by concurrent requests are parked in a queue for a short
 window (``window_ms``, default 2 ms) and then solved together by one
-:func:`repro.service.executor.solve_mva_cells` call, with per-cell
+:func:`repro.service.executor.solve_mva_cells` call (simulation
+cells, if any, by one :func:`repro.service.executor.solve_sim_cells`
+call, so they share lockstep launches too), with per-cell
 results (and per-cell *errors* -- a poison cell only fails its own
 waiter) fanned back through one future per submission.
 
@@ -55,6 +57,7 @@ from repro.service.executor import (
     record_solve_metrics,
     record_solve_metrics_batch,
     solve_mva_cells,
+    solve_sim_cells,
 )
 from repro.service.metrics import DEFAULT_BATCH_BUCKETS, MetricsRegistry
 
@@ -330,12 +333,13 @@ class SolveCoalescer:
         self._record_flush(batch, reason, waited)
         tasks = [entry.task for entry in batch]
         mva = [i for i, task in enumerate(tasks) if task.method == "mva"]
+        sims = [i for i, task in enumerate(tasks) if task.method != "mva"]
         values: dict[int, dict[str, Any]] = {}
         if mva:
             values.update(zip(mva, solve_mva_cells([tasks[i] for i in mva])))
-        for i, task in enumerate(tasks):
-            if i not in values:
-                values[i] = evaluate_with_retry(task, self.sim_retries)
+        if sims:
+            values.update(zip(sims, solve_sim_cells(
+                [tasks[i] for i in sims], self.sim_retries)))
         solved: list[tuple[CellTask, dict[str, Any]]] = []
         for i, entry in enumerate(batch):
             value = values[i]

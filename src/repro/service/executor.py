@@ -21,16 +21,22 @@ from the result cache, and solves the rest.  Guarantees:
 * **Self-healing MVA cells** -- a non-converged fixed point is retried
   down the escalating damping ladder (warm-started); recoveries are
   counted in the summary and metrics.
+* **One simulation production path** -- every fresh simulation cell is
+  solved by :func:`iter_sim_cells`: vector-engine cells that share an
+  architecture and sample size run as merged lockstep launches of at
+  most :data:`repro.sim.vector.MAX_LAUNCH_LANES` lanes (each cell
+  bit-identical to a solo run), scalar-engine cells one by one.
 * **Per-cell retry** -- simulation cells that raise are retried with a
   deterministically perturbed seed; the *effective* seed that produced
   the result is recorded in the cached value so a cache hit stays
-  traceable.
+  traceable.  A launch that raises hands each of its cells to that
+  per-cell retrying path.
 * **Incremental cache flush** -- the disk store is rewritten after
-  every fresh cell is stored.  MVA cells are stored one by one only
-  after the batch solve returns, so an interrupt *during* the batch
-  solve keeps none of that sweep's MVA cells; an interrupt while they
-  are being stored (or during the simulation cells) keeps every cell
-  stored so far.
+  every fresh cell is stored.  Cells are stored one by one as soon as
+  their batch solve (MVA) or their launch (simulation) returns, so an
+  interrupt keeps every cell of the launches already finished and
+  loses only the solve in flight; a ``strict`` sweep stops after the
+  launch holding its first failed cell.
 * **Simulation fan-out** -- with ``jobs>1`` the simulation cells go
   through the sharded sweep queue (:mod:`repro.sweepq`), which drains
   in-process when the platform cannot fork; if the queue dies
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,7 +69,8 @@ from repro.service.metrics import (
     MetricsRegistry,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.system import SIM_ENGINES, simulate
+from repro.sim.system import SIM_ENGINES, SimulationResult, simulate
+from repro.sim.vector import VectorSnoopingBusSimulator, plan_launches
 from repro.workload.parameters import (
     ArchitectureParams,
     SharingLevel,
@@ -113,6 +120,19 @@ class CellTask:
             raise ValueError(f"sim_reps must be >= 1, got {self.sim_reps!r}")
         if self.sim_engine == "scalar" and self.sim_reps != 1:
             raise ValueError("sim_reps > 1 requires sim_engine='vector'")
+
+    def sim_config(self) -> SimulationConfig:
+        """The simulation configuration a ``method="sim"`` cell runs."""
+        return SimulationConfig(
+            n_processors=self.n, workload=self.workload,
+            protocol=self.protocol, arch=self.arch,
+            seed=self.sim_seed, measured_requests=self.sim_requests)
+
+    def vector_cell(self) -> tuple[SimulationConfig, list[int]]:
+        """The ``(config, seeds)`` cell a vector-engine task adds to a
+        lockstep launch (seeds ``sim_seed + r``, as in ``simulate``)."""
+        return (self.sim_config(),
+                [self.sim_seed + r for r in range(self.sim_reps)])
 
     @property
     def key(self) -> str:
@@ -199,10 +219,12 @@ def tasks_for_spec(spec: GridSpec,
 def evaluate_task(task: CellTask) -> dict[str, Any]:
     """Solve one cell; the per-cell scalar reference.
 
-    Production solves MVA cells through :func:`solve_mva_cells`; this
-    readable one-fixed-point-per-cell path is what verify's parity
-    oracle (:func:`run_reference`), the golden corpus and the tests hold
-    it to, and what simulation cells always run.
+    Production solves MVA cells through :func:`solve_mva_cells` and
+    simulation cells through :func:`solve_sim_cells`; this readable
+    one-cell-at-a-time path is what verify's parity oracle
+    (:func:`run_reference`), the golden corpus and the tests hold them
+    to, and what scalar-engine simulation cells (and the cells of a
+    launch that raised) run.
 
     Returns the cache value: the ``GridCell`` row under ``"cell"`` plus
     solve metadata -- ``elapsed_s``; ``iterations``, ``damping``,
@@ -233,15 +255,17 @@ def evaluate_task(task: CellTask) -> dict[str, Any]:
             "warnings": [w.as_dict() for w in report.warnings],
             "elapsed_s": time.perf_counter() - started,
         }
-    sim_config = SimulationConfig(
-        n_processors=task.n, workload=task.workload,
-        protocol=task.protocol, arch=task.arch,
-        seed=task.sim_seed, measured_requests=task.sim_requests)
     if task.sim_engine == "scalar":
-        result = simulate(sim_config)
+        result = simulate(task.sim_config())
     else:
-        result = simulate(sim_config, engine=task.sim_engine,
+        result = simulate(task.sim_config(), engine=task.sim_engine,
                           reps=task.sim_reps)
+    return _sim_value(task, result, time.perf_counter() - started)
+
+
+def _sim_value(task: CellTask, result: SimulationResult,
+               elapsed_s: float) -> dict[str, Any]:
+    """The cache value of one simulated cell (before ``attempts``)."""
     cell = GridCell(
         protocol=task.protocol.label,
         sharing=task.sharing_label,
@@ -258,7 +282,7 @@ def evaluate_task(task: CellTask) -> dict[str, Any]:
         "cell": cell.as_row(),
         "iterations": None,
         "effective_seed": task.sim_seed,
-        "elapsed_s": time.perf_counter() - started,
+        "elapsed_s": elapsed_s,
     }
     if task.sim_engine != "scalar":
         value["sim_engine"] = task.sim_engine
@@ -477,6 +501,85 @@ def solve_mva_cells(tasks: Sequence[CellTask]) -> list[dict[str, Any]]:
         return evaluate_mva_batch(tasks)
     except Exception:  # noqa: BLE001 - engine fallback, not cell errors
         return [evaluate_with_retry(task, 0) for task in tasks]
+
+
+def _launched(task: CellTask) -> bool:
+    return task.method == "sim" and task.sim_engine == "vector"
+
+
+def sim_launches(tasks: Sequence[CellTask]) -> list[list[int]]:
+    """How simulation ``tasks`` are run, as lists of task indices.
+
+    One list per merged lockstep launch of vector-engine cells (as
+    :func:`repro.sim.vector.plan_launches` packs them) and one
+    single-index list per scalar-engine cell, ordered by each list's
+    first task.
+    """
+    vector = [i for i, task in enumerate(tasks) if _launched(task)]
+    launches = [[vector[j] for j in launch] for launch in plan_launches(
+        [tasks[i].vector_cell() for i in vector])]
+    launches += [[i] for i, task in enumerate(tasks) if not _launched(task)]
+    return sorted(launches)
+
+
+def simulate_launch(tasks: Sequence[CellTask]) -> list[SimulationResult]:
+    """Simulate one :func:`sim_launches` entry, one result per task.
+
+    Vector-engine tasks run as one merged lockstep launch, each cell's
+    replications folded by
+    :meth:`~repro.sim.vector.VectorSimulationResult.aggregate` -- what
+    a per-cell ``simulate(config, engine="vector", reps=...)`` returns,
+    bit for bit.  A scalar-engine task runs on its own.
+    """
+    if _launched(tasks[0]):
+        launch = VectorSnoopingBusSimulator.from_cells(
+            [task.vector_cell() for task in tasks])
+        return [result.aggregate() for result in launch.run()]
+    return [simulate(task.sim_config()) for task in tasks]
+
+
+def iter_sim_cells(tasks: Sequence[CellTask],
+                   retries: int = _SIM_RETRIES,
+                   ) -> Iterator[list[tuple[int, dict[str, Any]]]]:
+    """Solve simulation ``tasks`` one :func:`sim_launches` entry at a
+    time, yielding ``(task index, value)`` pairs after each.
+
+    A vector launch runs through :func:`simulate_launch`.  Scalar-engine
+    cells, and every cell of a launch that raises, go through
+    :func:`evaluate_with_retry` one by one, so retry seeds,
+    ``attempts`` and ``retried_after`` are exactly the per-cell path's.
+    The values equal ``evaluate_with_retry(task, retries)`` except
+    ``elapsed_s``, which for a launched cell is the launch wall time
+    amortized over its cells.
+    """
+    for indices in sim_launches(tasks):
+        yield list(zip(indices, _solve_launch(
+            [tasks[i] for i in indices], retries)))
+
+
+def _solve_launch(launch: list[CellTask],
+                  retries: int) -> list[dict[str, Any]]:
+    if _launched(launch[0]):
+        started = time.perf_counter()
+        try:
+            results = simulate_launch(launch)
+        except Exception:  # noqa: BLE001 - these cells fall back below
+            pass
+        else:
+            share = (time.perf_counter() - started) / len(launch)
+            return [dict(_sim_value(task, result, share), attempts=1)
+                    for task, result in zip(launch, results)]
+    return [evaluate_with_retry(task, retries) for task in launch]
+
+
+def solve_sim_cells(tasks: Sequence[CellTask],
+                    retries: int = _SIM_RETRIES) -> list[dict[str, Any]]:
+    """The production simulation path, shared by the executor, the
+    request coalescer and the sweep-queue workers: every value of
+    :func:`iter_sim_cells`, in task order."""
+    values = dict(pair for solved in iter_sim_cells(tasks, retries)
+                  for pair in solved)
+    return [values[index] for index in range(len(tasks))]
 
 
 @dataclass
@@ -707,7 +810,7 @@ class SweepExecutor:
         vectorized call beats chunked workers on every grid measured.
     cache:
         Optional :class:`ResultCache`; flushed after every fresh cell
-        is stored (MVA cells are stored only once their batch solve has
+        is stored (cells are stored once their batch solve or launch has
         returned) and once more at the end of the sweep.
     metrics:
         Optional :class:`MetricsRegistry` fed with cache hit/miss
@@ -796,9 +899,13 @@ class SweepExecutor:
             mode = self._run_chunked(pending, values)
             if mode is not None:
                 return mode
-        for index, task in pending:
-            values[index] = self._absorb(
-                task, index, evaluate_with_retry(task, self.sim_retries))
+        # Each launch's cells are stored (and flushed) as soon as it
+        # returns, so an interrupt loses at most the launch in flight.
+        for solved in iter_sim_cells([task for _, task in pending],
+                                     self.sim_retries):
+            for position, value in solved:
+                index, task = pending[position]
+                values[index] = self._absorb(task, index, value)
         return "serial"
 
     def _run_chunked(self, pending: list[tuple[int, CellTask]],

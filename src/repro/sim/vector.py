@@ -26,9 +26,25 @@ the completion time becomes causally determined, which can run a few
 events ahead of interleaved bus traffic near the warm-up and stop
 boundaries.  The promise is therefore *statistical* equivalence,
 enforced by the scalar-vs-vector section of ``repro verify`` (see
-docs/validation.md for the tolerance table).  What *is* bit-promised:
-each replication's trajectory depends only on its own seed, so
-permuting ``seeds`` permutes the result rows and nothing else.
+docs/validation.md for the tolerance table).
+
+One launch can carry several *cells* (different protocols, sharing
+levels and system sizes) side by side: the lane axis runs over
+(cell, replication), every per-configuration constant -- the derived
+routing thresholds, ``tau``, the bus timings, N -- is a per-lane value,
+and processor state is padded to the launch's largest N (padded
+processors never fire and never enter a reduction).
+:func:`plan_launches` packs cells that share the architecture,
+warm-up, measured-request and batch settings into launches of at most
+:data:`MAX_LAUNCH_LANES` lanes, :func:`simulate_cells` runs them and
+splits each result back per cell, and :func:`simulate_many` is the
+one-cell case of the same engine.
+
+What *is* bit-promised: a replication's trajectory depends only on its
+own seed and its own cell, never on the other lanes of its launch.
+Permuting ``seeds`` permutes the result rows and nothing else, and a
+cell's per-replication arrays from a merged launch are bit-identical to
+a solo :func:`simulate_many` of that cell.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from scipy import stats as _scipy_stats
 from repro.protocols.modifications import Modification
 from repro.sim.config import SimulationConfig
 from repro.sim.system import SNOOP_ACTION_CYCLES, SimulationResult
-from repro.workload.derived import derive_inputs
+from repro.workload.derived import DerivedInputs, derive_inputs
 from repro.workload.streams import RequestKind
 
 #: Processor phases in the lockstep state machine (int8 codes).
@@ -54,6 +70,15 @@ _KINDS = (RequestKind.LOCAL, RequestKind.BROADCAST, RequestKind.REMOTE_READ)
 
 #: The scalar cache controller's "already free" slack (cache.py).
 _EPS = 1e-12
+
+#: Most lanes :func:`plan_launches` packs into one launch.  A lane
+#: costs about 34 KiB (its uniform buffer plus its state rows), so the
+#: cap bounds a merged launch's memory whatever the sweep size.  512 is
+#: the knee of the width curve: up to it a launch's wall time stays
+#: flat (per-tick interpreter overhead), past it the time grows with
+#: the width, and going to 4096 lanes buys under 2x per replication
+#: for 8x the memory (docs/performance.md).
+MAX_LAUNCH_LANES = 512
 
 
 class _UniformLanes:
@@ -67,16 +92,44 @@ class _UniformLanes:
     test pins down.
     """
 
-    def __init__(self, seeds: Sequence[int], width: int):
+    def __init__(self, seeds: Sequence[int], widths: Sequence[int]):
+        # A lane's refill chunk is a function of its own widest draw
+        # only, so its refill boundaries (and hence its draws) do not
+        # depend on which other lanes share the launch.
+        chunks = [max(4096, 8 * w) for w in widths]
         self._gens = [np.random.default_rng(s) for s in seeds]
-        self._chunk = max(4096, 8 * width)
+        self._chunks = chunks
+        self._stride = max(chunks)
+        self._chunk = np.asarray(chunks)
         n = len(self._gens)
-        self._buf = np.empty((n, self._chunk), dtype=np.float64)
+        self._buf = np.empty((n, self._stride), dtype=np.float64)
         for lane, gen in enumerate(self._gens):
-            self._buf[lane] = gen.random(self._chunk)
+            self._buf[lane, :chunks[lane]] = gen.random(chunks[lane])
         self._flat = self._buf.ravel()
         self._pos = np.zeros(n, dtype=np.int64)
         self._aranges: dict[int, np.ndarray] = {}
+
+    def _offsets(self, width: int) -> np.ndarray:
+        offs = self._aranges.get(width)
+        if offs is None:
+            offs = self._aranges[width] = np.arange(width)
+        return offs
+
+    def _advance(self, rows: np.ndarray,
+                 width: int | np.ndarray) -> np.ndarray:
+        """Reserve ``width`` draws per lane (refilling lanes whose
+        buffer cannot hold them); returns their flat start offsets."""
+        pos = self._pos
+        p = pos[rows]
+        over = p + width > self._chunk[rows]
+        if over.any():
+            for lane in rows[over]:
+                chunk = self._chunks[lane]
+                self._buf[lane, :chunk] = self._gens[lane].random(chunk)
+                pos[lane] = 0
+            p = pos[rows]
+        pos[rows] = p + width
+        return rows * self._stride + p
 
     def take(self, rows: np.ndarray, width: int) -> np.ndarray:
         """Draw ``width`` uniforms from each lane in ``rows``.
@@ -84,25 +137,23 @@ class _UniformLanes:
         Returns shape ``(len(rows),)`` when ``width == 1`` else
         ``(len(rows), width)``.
         """
-        pos = self._pos
-        chunk = self._chunk
-        p = pos[rows]
-        over = p + width > chunk
-        if over.any():
-            for lane in rows[over]:
-                self._buf[lane] = self._gens[lane].random(chunk)
-                pos[lane] = 0
-            p = pos[rows]
-        base = rows * chunk + p
+        base = self._advance(rows, width)
         if width == 1:
-            out = self._flat[base]
-        else:
-            offs = self._aranges.get(width)
-            if offs is None:
-                offs = self._aranges[width] = np.arange(width)
-            out = self._flat[base[:, None] + offs]
-        pos[rows] = p + width
-        return out
+            return self._flat[base]
+        return self._flat[base[:, None] + self._offsets(width)]
+
+    def take_padded(self, rows: np.ndarray, widths: np.ndarray,
+                    out_width: int) -> np.ndarray:
+        """Draw ``widths[i]`` uniforms from lane ``rows[i]``.
+
+        Returns shape ``(len(rows), out_width)``; the columns past a
+        lane's own width hold 1.0, which no probability threshold in
+        [0, 1] accepts (``u < p`` is False), so padding never samples.
+        """
+        base = self._advance(rows, widths)
+        offs = self._offsets(out_width)
+        index = np.minimum(base[:, None] + offs, self._flat.size - 1)
+        return np.where(offs < widths[:, None], self._flat[index], 1.0)
 
 
 def _wadd(count: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -267,6 +318,79 @@ class VectorSimulationResult:
                 f"[{agg.requests_measured} requests]")
 
 
+def launch_key(config: SimulationConfig) -> tuple:
+    """The settings cells must share to ride in one launch.
+
+    The lockstep loop treats these as launch-wide constants: the bus,
+    memory and cache timings of the architecture, the warm-up and stop
+    counts, the batch-means layout and the read-path contention switch.
+    Everything else (protocol, workload, N, holder probability) is
+    per-lane.
+    """
+    return (config.arch, config.warmup_requests, config.measured_requests,
+            config.n_batches, config.model_read_memory_contention)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One configuration of a launch, its seeds and its model inputs."""
+
+    config: SimulationConfig
+    seeds: tuple[int, ...]
+    inputs: DerivedInputs
+
+
+def _make_cell(config: SimulationConfig, reps: int,
+               seeds: Sequence[int] | None) -> _Cell:
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps!r}")
+    if config.bus_discipline.value != "fcfs":
+        raise ValueError(
+            "the vector engine models FCFS bus service only; use the "
+            "scalar engine for random-order runs")
+    if seeds is None:
+        seeds = tuple(int(config.seed) + r for r in range(reps))
+    else:
+        seeds = tuple(int(s) for s in seeds)
+        if len(seeds) != reps:
+            raise ValueError(
+                f"need exactly {reps} seeds, got {len(seeds)}")
+    inputs = derive_inputs(
+        config.effective_workload, config.arch,
+        config.protocol.mod_numbers,
+        holder_probability=(config.holder_probability
+                            if config.holder_probability is not None
+                            else 0.5))
+    return _Cell(config, seeds, inputs)
+
+
+def _constants(inputs: DerivedInputs) -> dict[str, float | bool]:
+    """One cell's tick-loop constants (the ReferenceStream thresholds)."""
+    workload = inputs.workload
+    if inputs.p_rr > 0.0:
+        sr_frac, sw_frac = inputs.sr_miss_frac, inputs.sw_miss_frac
+    else:
+        sr_frac = sw_frac = 0.0
+    sw_bc = inputs.mix.sw_broadcast(inputs.mods)
+    return {
+        "p_local": inputs.p_local,
+        "p_loc_bc": inputs.p_local + inputs.p_bc,
+        "sr_frac": sr_frac,
+        "srw_frac": sr_frac + sw_frac,
+        "bc_shared_frac": (sw_bc / inputs.p_bc
+                           if inputs.p_bc > 0.0 else 0.0),
+        "csupply_sro": workload.csupply_sro,
+        "csupply_sw": workload.csupply_sw,
+        "wb_csupply": workload.wb_csupply,
+        "p_reqwb_rr": inputs.p_reqwb_rr,
+        "hp": inputs.holder_probability,
+        "tau": workload.tau,
+        "t_bc": float(inputs.t_bc),
+        "bc_mem": bool(inputs.bc_updates_memory),
+        "c2c": Modification.CACHE_TO_CACHE_SUPPLY.value in inputs.mods,
+    }
+
+
 class VectorSnoopingBusSimulator:
     """Discrete-event model advancing many replications in lockstep.
 
@@ -274,63 +398,74 @@ class VectorSnoopingBusSimulator:
     event within each replication -- FCFS bus, dual-directory cache
     busy-until horizons with poll-retry, interleaved memory modules,
     warm-up reset and batch-means CI -- while storing every piece of
-    state as a NumPy array indexed by replication.
+    state as a NumPy array indexed by lane.
+
+    ``VectorSnoopingBusSimulator(config, reps, seeds)`` is a one-cell
+    launch; :meth:`from_cells` builds a launch carrying several cells.
+    Either way ``reps`` is the launch's lane count, ``seeds`` its lane
+    seeds in order and ``config`` (the first cell's) carries the
+    launch-wide warm-up and measured-request counts.
     """
 
     def __init__(self, config: SimulationConfig, reps: int,
                  seeds: Sequence[int] | None = None):
-        if reps < 1:
-            raise ValueError(f"reps must be >= 1, got {reps!r}")
-        if config.bus_discipline.value != "fcfs":
+        self._bind([_make_cell(config, reps, seeds)])
+
+    @classmethod
+    def from_cells(
+            cls, cells: Sequence[tuple[SimulationConfig, Sequence[int]]],
+    ) -> VectorSnoopingBusSimulator:
+        """One launch over ``(config, seeds)`` cells sharing
+        :func:`launch_key`; :meth:`run` returns their results in this
+        order."""
+        launch = cls.__new__(cls)
+        launch._bind([_make_cell(config, len(seeds), seeds)
+                      for config, seeds in cells])
+        return launch
+
+    def _bind(self, cells: list[_Cell]) -> None:
+        if not cells:
+            raise ValueError("a launch needs at least one cell")
+        key = launch_key(cells[0].config)
+        if any(launch_key(cell.config) != key for cell in cells[1:]):
             raise ValueError(
-                "the vector engine models FCFS bus service only; use the "
-                "scalar engine for random-order runs")
-        if seeds is None:
-            seeds = tuple(int(config.seed) + r for r in range(reps))
-        else:
-            seeds = tuple(int(s) for s in seeds)
-            if len(seeds) != reps:
-                raise ValueError(
-                    f"need exactly {reps} seeds, got {len(seeds)}")
-        self.config = config
-        self.reps = reps
-        self.seeds = seeds
-        self.inputs = derive_inputs(
-            config.effective_workload, config.arch,
-            config.protocol.mod_numbers,
-            holder_probability=(config.holder_probability
-                                if config.holder_probability is not None
-                                else 0.5))
+                "cells of one launch must share the architecture, "
+                "warm-up, measured requests, batch count and read "
+                "contention setting")
+        self._cells = tuple(cells)
+        self.config = cells[0].config
+        self.reps = sum(len(cell.seeds) for cell in cells)
+        self.seeds = tuple(s for cell in cells for s in cell.seeds)
 
     # -- the lockstep event loop ---------------------------------------
 
-    def run(self) -> VectorSimulationResult:
-        """Run warm-up plus measurement in every replication."""
+    def run(self) -> list[VectorSimulationResult]:
+        """Run warm-up plus measurement in every lane; returns one
+        result per cell, in launch order."""
         cfg = self.config
-        inputs = self.inputs
-        reps, n = self.reps, cfg.n_processors
         arch = cfg.arch
-        workload = inputs.workload
-
-        # Sampling constants (identical thresholds to ReferenceStream).
-        p_local = inputs.p_local
-        p_loc_bc = inputs.p_local + inputs.p_bc
-        if inputs.p_rr > 0.0:
-            sr_frac, sw_frac = inputs.sr_miss_frac, inputs.sw_miss_frac
-        else:
-            sr_frac = sw_frac = 0.0
-        sw_bc = inputs.mix.sw_broadcast(inputs.mods)
-        bc_shared_frac = sw_bc / inputs.p_bc if inputs.p_bc > 0.0 else 0.0
-        csupply_sro, csupply_sw = workload.csupply_sro, workload.csupply_sw
-        wb_csupply, p_reqwb_rr = workload.wb_csupply, inputs.p_reqwb_rr
-        hp = inputs.holder_probability
-        tau = workload.tau
+        reps = self.reps
+        counts = [len(cell.seeds) for cell in self._cells]
+        sizes = [cell.config.n_processors for cell in self._cells]
+        per_cell = [_constants(cell.inputs) for cell in self._cells]
+        # Per-lane constants: each cell's value repeated over its lanes.
+        const = {name: np.repeat([c[name] for c in per_cell], counts)
+                 for name in per_cell[0]}
+        p_local, p_loc_bc = const["p_local"], const["p_loc_bc"]
+        sr_frac, srw_frac = const["sr_frac"], const["srw_frac"]
+        bc_shared_frac = const["bc_shared_frac"]
+        csupply_sro, csupply_sw = const["csupply_sro"], const["csupply_sw"]
+        wb_csupply, p_reqwb_rr = const["wb_csupply"], const["p_reqwb_rr"]
+        hp, tau = const["hp"], const["tau"]
+        t_bc, bc_mem, c2c = const["t_bc"], const["bc_mem"], const["c2c"]
+        n = np.repeat(sizes, counts)
+        # Only lanes with another cache to snoop sample holders.
+        multi = n > 1
+        # Launch-wide constants.
         t_supply = arch.t_supply
-        t_bc, bc_mem = inputs.t_bc, inputs.bc_updates_memory
         t_block = arch.block_transfer_cycles
         base_read = arch.base_read_cycles
         cache_supply = arch.cache_supply_cycles
-        c2c = Modification.CACHE_TO_CACHE_SUPPLY.value in inputs.mods
         model_contention = cfg.model_read_memory_contention
         n_modules, mem_latency = arch.memory_modules, arch.memory_latency
         warmup, target = cfg.warmup_requests, cfg.measured_requests
@@ -338,42 +473,49 @@ class VectorSnoopingBusSimulator:
         batch_size = target // n_batches
         batch_take = batch_size * n_batches
 
-        lanes = _UniformLanes(self.seeds, width=max(5, n))
-        rrange = np.arange(reps)
-        rbase = rrange * n
+        # ``stride`` is the padded processor axis: lane r's processor q
+        # lives at flat index r * stride + q.
+        stride = max(sizes)
+        lanes = _UniformLanes(self.seeds, np.maximum(n, 5).tolist())
         inf = np.inf
 
-        # Per-(rep, proc) state.  The ``*_f`` aliases are flat views:
-        # indexing one ``(rep, proc)`` pair costs a single fancy index
-        # on ``rep * n + proc`` instead of a 2-D advanced index.
-        proc_state = np.full((reps, n), _EXEC, dtype=np.int8)
-        proc_time = np.zeros((reps, n), dtype=np.float64)
-        cycle_start = np.zeros((reps, n), dtype=np.float64)
-        fire_time = np.zeros((reps, n), dtype=np.float64)
-        kind = np.zeros((reps, n), dtype=np.int8)
-        f_shared = np.zeros((reps, n), dtype=bool)
-        f_csup = np.zeros((reps, n), dtype=bool)
-        f_supwb = np.zeros((reps, n), dtype=bool)
-        f_reqwb = np.zeros((reps, n), dtype=bool)
-        cache_until = np.zeros((reps, n), dtype=np.float64)
+        # Per-(lane, proc) state.  The ``*_f`` aliases are flat views:
+        # indexing one ``(lane, proc)`` pair costs a single fancy index
+        # on ``lane * stride + proc`` instead of a 2-D advanced index.
+        proc_state = np.full((reps, stride), _EXEC, dtype=np.int8)
+        proc_time = np.zeros((reps, stride), dtype=np.float64)
+        cycle_start = np.zeros((reps, stride), dtype=np.float64)
+        fire_time = np.zeros((reps, stride), dtype=np.float64)
+        kind = np.zeros((reps, stride), dtype=np.int8)
+        f_shared = np.zeros((reps, stride), dtype=bool)
+        f_csup = np.zeros((reps, stride), dtype=bool)
+        f_supwb = np.zeros((reps, stride), dtype=bool)
+        f_reqwb = np.zeros((reps, stride), dtype=bool)
+        cache_until = np.zeros((reps, stride), dtype=np.float64)
         state_f = proc_state.ravel()
         ptime_f = proc_time.ravel()
         cstart_f = cycle_start.ravel()
         fire_f = fire_time.ravel()
         kind_f = kind.ravel()
         cache_f = cache_until.ravel()
+        shared_f = f_shared.ravel()
+        csup_f = f_csup.ravel()
+        supwb_f = f_supwb.ravel()
+        reqwb_f = f_reqwb.ravel()
+        # Padded processors never fire: their timers stay infinite.
+        proc_time[np.arange(stride) >= n[:, None]] = inf
 
-        # Per-rep bus: one in-service slot plus an FCFS ring of size n.
+        # Per-lane bus: one in-service slot plus an FCFS ring of size N.
         bus_current = np.full(reps, -1, dtype=np.int32)
         bus_until = np.full(reps, inf, dtype=np.float64)
         bus_start = np.zeros(reps, dtype=np.float64)
-        queue_buf = np.zeros((reps, n), dtype=np.int32)
+        queue_buf = np.zeros((reps, stride), dtype=np.int32)
         q_head = np.zeros(reps, dtype=np.int32)
         q_len = np.zeros(reps, dtype=np.int32)
 
         mem_until = np.zeros((reps, n_modules), dtype=np.float64)
 
-        # Per-rep measurement machinery.
+        # Per-lane measurement machinery.
         measuring = np.full(reps, warmup == 0, dtype=bool)
         measure_start = np.zeros(reps, dtype=np.float64)
         completed = np.zeros(reps, dtype=np.int64)
@@ -405,10 +547,20 @@ class VectorSnoopingBusSimulator:
         resp_mean_f = resp_mean.ravel()
 
         def draw_bursts(rows: np.ndarray) -> np.ndarray:
-            """Exponential execution bursts, one per listed replication."""
-            if tau <= 0.0:
-                return np.zeros(rows.size, dtype=np.float64)
-            return -tau * np.log1p(-lanes.take(rows, 1))
+            """Exponential execution bursts, one per listed lane."""
+            tr = tau[rows]
+            live = tr > 0.0
+            if live.all():
+                return -tr * np.log1p(-lanes.take(rows, 1))
+            out = np.zeros(rows.size, dtype=np.float64)
+            out[live] = -tr[live] * np.log1p(-lanes.take(rows[live], 1))
+            return out
+
+        def draw_holders(rows: np.ndarray) -> np.ndarray:
+            """Snoop-holder sample over each lane's own N processors,
+            padded with False to ``stride`` columns."""
+            u = lanes.take_padded(rows, n[rows], stride)
+            return u < hp[rows][:, None]
 
         def memory_write(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
             """Occupy one random module per row; returns the bus wait."""
@@ -418,19 +570,25 @@ class VectorSnoopingBusSimulator:
             mem_busy[rows[measuring[rows]]] += mem_latency
             return start - at
 
-        # Initial execution bursts (one per processor per replication).
-        if tau > 0.0:
-            bursts0 = -tau * np.log1p(-lanes.take(rrange, n))
-            proc_time[:] = bursts0
-            busy_cycles[:] = np.where(measuring, bursts0.sum(axis=1), 0.0)
+        # Initial execution bursts (one per processor per lane), drawn
+        # and summed over each lane's own N so no padding is involved.
+        for size in sorted(set(sizes)):
+            rows = np.flatnonzero((n == size) & (tau > 0.0))
+            if rows.size:
+                bursts0 = -tau[rows][:, None] * np.log1p(
+                    -lanes.take(rows, size).reshape(rows.size, size))
+                proc_time[rows, :size] = bursts0
+                busy_cycles[rows] = np.where(measuring[rows],
+                                             bursts0.sum(axis=1), 0.0)
 
-        # A tick advances each active replication by one event, so the
-        # tick count is bounded by the busiest replication's event
-        # count; the generous cap below only trips on a genuine bug
-        # (lost event / non-advancing clock), never on a slow run.
-        tick_limit = 400 * (warmup + target + 16 * n + 64)
+        # A tick advances each active lane by one event, so the tick
+        # count is bounded by the busiest lane's event count; the
+        # generous cap below only trips on a genuine bug (lost event /
+        # non-advancing clock), never on a slow run.
+        tick_limit = 400 * (warmup + target + 16 * stride + 64)
         tick = 0
         active = reps
+        rbase = np.arange(reps) * stride
 
         while active > 0:
             tick += 1
@@ -454,7 +612,7 @@ class VectorSnoopingBusSimulator:
             grant_q: list[np.ndarray] = []
             grant_t: list[np.ndarray] = []
             # Requests whose completion time became determined this
-            # tick: (rep, flat rep*n+proc index, completion time).
+            # tick: (lane, flat lane*stride+proc index, completion time).
             comp_r: list[np.ndarray] = []
             comp_f: list[np.ndarray] = []
             comp_t: list[np.ndarray] = []
@@ -474,13 +632,13 @@ class VectorSnoopingBusSimulator:
                 # later; that completion has no further interactions,
                 # so it is folded into this tick's completion batch.
                 comp_r.append(rb)
-                comp_f.append(rb * n + qb)
+                comp_f.append(rb * stride + qb)
                 comp_t.append(tb + t_supply)
                 has_next = q_len[rb] > 0
                 rn = rb[has_next]
                 if rn.size:
                     nq = queue_buf[rn, q_head[rn]]
-                    q_head[rn] = (q_head[rn] + 1) % n
+                    q_head[rn] = (q_head[rn] + 1) % n[rn]
                     q_len[rn] -= 1
                     grant_r.append(rn)
                     grant_q.append(nq)
@@ -494,7 +652,7 @@ class VectorSnoopingBusSimulator:
             if rp.size:
                 ip = pi[rp]
                 tp = pt[rp]
-                fp = rp * n + ip
+                fp = rp * stride + ip
                 st = state_f[fp]
 
                 # fire: sample the outcome and route the request
@@ -505,8 +663,8 @@ class VectorSnoopingBusSimulator:
                     tf = tp[fire]
                     u = lanes.take(rf, 5)
                     u0, u1 = u[:, 0], u[:, 1]
-                    kf = np.where(u0 < p_local, 0,
-                                  np.where(u0 < p_loc_bc, 1, 2)
+                    kf = np.where(u0 < p_local[rf], 0,
+                                  np.where(u0 < p_loc_bc[rf], 1, 2)
                                   ).astype(np.int8)
                     kind_f[ff] = kf
                     fire_f[ff] = tf
@@ -544,20 +702,24 @@ class VectorSnoopingBusSimulator:
                         kq = kf[tobus]
                         u1q = u1[tobus]
                         isbc = kq == 1
-                        shared = np.where(isbc, u1q < bc_shared_frac,
-                                          False)
-                        sr = ~isbc & (u1q < sr_frac)
-                        sw = ~isbc & ~sr & (u1q < sr_frac + sw_frac)
+                        shared = np.where(
+                            isbc, u1q < bc_shared_frac[rq], False)
+                        sr = ~isbc & (u1q < sr_frac[rq])
+                        sw = ~isbc & ~sr & (u1q < srw_frac[rq])
                         shared |= sr | sw
-                        csp = np.where(sr, csupply_sro,
-                                       np.where(sw, csupply_sw, 0.0))
+                        csp = np.where(sr, csupply_sro[rq],
+                                       np.where(sw, csupply_sw[rq],
+                                                0.0))
                         csupf = shared & ~isbc & (u[tobus, 2] < csp)
-                        supwbf = csupf & (u[tobus, 3] < wb_csupply)
-                        reqwbf = ~isbc & (u[tobus, 4] < p_reqwb_rr)
-                        f_shared.ravel()[fq] = shared
-                        f_csup.ravel()[fq] = csupf
-                        f_supwb.ravel()[fq] = supwbf
-                        f_reqwb.ravel()[fq] = reqwbf
+                        supwbf = csupf & (u[tobus, 3] < wb_csupply[rq])
+                        reqwbf = ~isbc & (u[tobus, 4] < p_reqwb_rr[rq])
+                        # The snoop flag is only ever read to sample
+                        # holders, which a one-processor lane has none of.
+                        shared &= multi[rq]
+                        shared_f[fq] = shared
+                        csup_f[fq] = csupf
+                        supwb_f[fq] = supwbf
+                        reqwb_f[fq] = reqwbf
                         seen = (q_len[rq]
                                 + (bus_current[rq] >= 0)).astype(np.float64)
                         mq = measuring[rq]
@@ -567,12 +729,14 @@ class VectorSnoopingBusSimulator:
                         idle = bus_current[rq] < 0
                         if idle.any():
                             grant_r.append(rq[idle])
-                            grant_q.append((fq[idle] % n).astype(np.int32))
+                            grant_q.append(
+                                (fq[idle] % stride).astype(np.int32))
                             grant_t.append(tq[idle])
                         rpush = rq[~idle]
                         if rpush.size:
-                            slot = (q_head[rpush] + q_len[rpush]) % n
-                            queue_buf[rpush, slot] = fq[~idle] % n
+                            slot = ((q_head[rpush] + q_len[rpush])
+                                    % n[rpush])
+                            queue_buf[rpush, slot] = fq[~idle] % stride
                             q_len[rpush] += 1
 
                 # poll: retry a local request against the snoop horizon
@@ -602,9 +766,9 @@ class VectorSnoopingBusSimulator:
             # -- bus grants: compute service, occupy memory, snoop -----
             # Grants run before the completion batch, mirroring the
             # scalar bus (Bus.complete starts the next transaction
-            # before the finished request's callback runs); a
-            # replication stopped by a completion below then freezes
-            # over any bus service granted this tick.
+            # before the finished request's callback runs); a lane
+            # stopped by a completion below then freezes over any bus
+            # service granted this tick.
             if grant_r:
                 r_g = (grant_r[0] if len(grant_r) == 1
                        else np.concatenate(grant_r))
@@ -612,7 +776,7 @@ class VectorSnoopingBusSimulator:
                        else np.concatenate(grant_q))
                 t_g = (grant_t[0] if len(grant_t) == 1
                        else np.concatenate(grant_t))
-                g_f = r_g * n + q_g
+                g_f = r_g * stride + q_g
                 mg = measuring[r_g]
                 _wadd(wb_count, wb_mean, wb_m2, r_g[mg],
                       (t_g - fire_f[g_f])[mg])
@@ -623,21 +787,21 @@ class VectorSnoopingBusSimulator:
                 if rb2.size:
                     qb2 = q_g[isbc]
                     tb2 = t_g[isbc]
-                    durb = np.full(rb2.size, t_bc)
-                    if bc_mem:
-                        durb += memory_write(rb2, tb2)
-                    if n > 1:
-                        shb = f_shared.ravel()[g_f[isbc]]
-                        rsn = rb2[shb]
-                        if rsn.size:
-                            hold = lanes.take(rsn, n) < hp
-                            hold[np.arange(rsn.size), qb2[shb]] = False
-                            cu = cache_until[rsn]
-                            cache_until[rsn] = np.where(
-                                hold,
-                                np.maximum(cu, tb2[shb][:, None])
-                                + SNOOP_ACTION_CYCLES,
-                                cu)
+                    durb = t_bc[rb2]
+                    bm = bc_mem[rb2]
+                    if bm.any():
+                        durb[bm] += memory_write(rb2[bm], tb2[bm])
+                    shb = shared_f[g_f[isbc]]
+                    rsn = rb2[shb]
+                    if rsn.size:
+                        hold = draw_holders(rsn)
+                        hold[np.arange(rsn.size), qb2[shb]] = False
+                        cu = cache_until[rsn]
+                        cache_until[rsn] = np.where(
+                            hold,
+                            np.maximum(cu, tb2[shb][:, None])
+                            + SNOOP_ACTION_CYCLES,
+                            cu)
                     dur[isbc] = durb
 
                 isrr = ~isbc
@@ -646,9 +810,9 @@ class VectorSnoopingBusSimulator:
                     q2 = q_g[isrr]
                     t2 = t_g[isrr]
                     rr_f = g_f[isrr]
-                    supwb = f_supwb.ravel()[rr_f]
-                    reqwb = f_reqwb.ravel()[rr_f]
-                    direct = supwb & c2c
+                    supwb = supwb_f[rr_f]
+                    reqwb = reqwb_f[rr_f]
+                    direct = supwb & c2c[rr2]
                     durr = np.where(direct, cache_supply, base_read)
                     nd = ~direct
                     if model_contention and nd.any():
@@ -660,45 +824,45 @@ class VectorSnoopingBusSimulator:
                     if reqwb.any():
                         durr[reqwb] += t_block
                         memory_write(rr2[reqwb], t2[reqwb])
-                    if n > 1:
-                        sh2 = f_shared.ravel()[rr_f]
-                        rs2 = rr2[sh2]
-                        if rs2.size:
-                            qs = q2[sh2]
-                            ts = t2[sh2]
-                            rows = np.arange(rs2.size)
-                            hold = lanes.take(rs2, n) < hp
-                            hold[rows, qs] = False
-                            anyh = hold.any(axis=1)
-                            firsth = hold.argmax(axis=1)
-                            cs = f_csup.ravel()[rr_f[sh2]]
-                            react = hold
-                            skip = cs & anyh
-                            react[rows[skip], firsth[skip]] = False
-                            cu = cache_until[rs2]
-                            cache_until[rs2] = np.where(
-                                react,
-                                np.maximum(cu, ts[:, None])
-                                + SNOOP_ACTION_CYCLES,
-                                cu)
-                            # The supplier (first sampled holder, else a
-                            # uniformly random other cache) is tied up
-                            # for the whole transaction.
-                            sup = np.full(rs2.size, -1, dtype=np.int64)
-                            sup[skip] = firsth[skip]
-                            fb = cs & ~anyh
-                            if fb.any():
-                                pick = (lanes.take(rs2[fb], 1)
-                                        * (n - 1)).astype(np.int64)
-                                sup[fb] = pick + (pick >= qs[fb])
-                            have = sup >= 0
-                            rsup = rs2[have]
-                            if rsup.size:
-                                supc = sup[have]
-                                cu2 = cache_until[rsup, supc]
-                                cache_until[rsup, supc] = (
-                                    np.maximum(cu2, ts[have])
-                                    + durr[sh2][have])
+                    sh2 = shared_f[rr_f]
+                    rs2 = rr2[sh2]
+                    if rs2.size:
+                        qs = q2[sh2]
+                        ts = t2[sh2]
+                        rows = np.arange(rs2.size)
+                        hold = draw_holders(rs2)
+                        hold[rows, qs] = False
+                        anyh = hold.any(axis=1)
+                        firsth = hold.argmax(axis=1)
+                        cs = csup_f[rr_f[sh2]]
+                        react = hold
+                        skip = cs & anyh
+                        react[rows[skip], firsth[skip]] = False
+                        cu = cache_until[rs2]
+                        cache_until[rs2] = np.where(
+                            react,
+                            np.maximum(cu, ts[:, None])
+                            + SNOOP_ACTION_CYCLES,
+                            cu)
+                        # The supplier (first sampled holder, else a
+                        # uniformly random other cache) is tied up for
+                        # the whole transaction.
+                        sup = np.full(rs2.size, -1, dtype=np.int64)
+                        sup[skip] = firsth[skip]
+                        fb = cs & ~anyh
+                        if fb.any():
+                            rfb = rs2[fb]
+                            pick = (lanes.take(rfb, 1)
+                                    * (n[rfb] - 1)).astype(np.int64)
+                            sup[fb] = pick + (pick >= qs[fb])
+                        have = sup >= 0
+                        rsup = rs2[have]
+                        if rsup.size:
+                            supc = sup[have]
+                            cu2 = cache_until[rsup, supc]
+                            cache_until[rsup, supc] = (
+                                np.maximum(cu2, ts[have])
+                                + durr[sh2][have])
                     dur[isrr] = durr
 
                 bus_current[r_g] = q_g
@@ -727,7 +891,7 @@ class VectorSnoopingBusSimulator:
                     fm = fc[meas]
                     resp = np.maximum(
                         tc[meas] - fire_f[fm] - t_supply, 0.0)
-                    # One sample per (kind, rep) pair, so a single
+                    # One sample per (kind, lane) pair, so a single
                     # flat-indexed Welford step updates all three kinds.
                     rix = kind_f[fm].astype(np.int64) * reps + rm
                     resp_count_f[rix] += 1
@@ -805,19 +969,23 @@ class VectorSnoopingBusSimulator:
                  batch_sums, batch_size, wb_count, wb_mean, wb_m2,
                  sq_count, sq_mean, if_count, if_mean, resp_count,
                  resp_mean, bus_busy, bus_tx, bus_current, bus_start,
-                 mem_busy, busy_cycles) -> VectorSimulationResult:
+                 mem_busy, busy_cycles) -> list[VectorSimulationResult]:
         cfg = self.config
         arch = cfg.arch
         n_batches = cfg.n_batches
         elapsed = end_time - measure_start
         safe_elapsed = np.where(elapsed > 0.0, elapsed, np.inf)
 
-        workload = cfg.effective_workload
-        ideal = workload.tau + arch.t_supply
+        # N * (tau + T_supply): the contention-free cycle time scaled
+        # to a speedup, per lane.
+        scale = np.repeat(
+            [cell.config.n_processors
+             * (cell.config.effective_workload.tau + arch.t_supply)
+             for cell in self._cells],
+            [len(cell.seeds) for cell in self._cells])
         r_mean = np.where(cw_count > 0, cw_mean, np.nan)
         with np.errstate(invalid="ignore", divide="ignore"):
-            speedup = np.where(r_mean > 0.0,
-                               cfg.n_processors * ideal / r_mean, 0.0)
+            speedup = np.where(r_mean > 0.0, scale / r_mean, 0.0)
 
         if batch_size > 0 and n_batches >= 2:
             bmeans = batch_sums / batch_size
@@ -828,12 +996,11 @@ class VectorSnoopingBusSimulator:
             half = t_crit * np.sqrt(var / n_batches)
             with np.errstate(invalid="ignore", divide="ignore"):
                 speedup_half = np.where(
-                    grand > 0.0,
-                    cfg.n_processors * ideal * half / (grand ** 2), 0.0)
+                    grand > 0.0, scale * half / (grand ** 2), 0.0)
         else:
             speedup_half = np.zeros(self.reps, dtype=np.float64)
 
-        # In-service bus time still pending at each replication's end.
+        # In-service bus time still pending at each lane's end.
         pending = np.where(
             bus_current >= 0,
             np.maximum(end_time - np.maximum(bus_start, measure_start),
@@ -842,28 +1009,81 @@ class VectorSnoopingBusSimulator:
         u_bus = (bus_busy + pending) / safe_elapsed
         u_mem = mem_busy / (arch.memory_modules * safe_elapsed)
         power = busy_cycles / safe_elapsed
+        w_bus = _wmean(wb_count, wb_mean)
+        w_bus_stddev = _wstd(wb_count, wb_m2)
+        q_bus_seen = _wmean(sq_count, sq_mean)
+        interference = _wmean(if_count, if_mean)
 
-        return VectorSimulationResult(
-            n_processors=cfg.n_processors,
-            protocol_label=cfg.protocol.label,
-            sharing_label=f"{cfg.workload.sharing_fraction * 100:g}%",
-            seeds=self.seeds,
-            requests_measured=cw_count.copy(),
-            elapsed_cycles=elapsed,
-            mean_cycle_time=r_mean,
-            speedup=speedup,
-            speedup_ci_halfwidth=speedup_half,
-            processing_power=power,
-            u_bus=u_bus,
-            u_mem=u_mem,
-            w_bus=_wmean(wb_count, wb_mean),
-            w_bus_stddev=_wstd(wb_count, wb_m2),
-            q_bus_seen=_wmean(sq_count, sq_mean),
-            mean_interference_wait=_wmean(if_count, if_mean),
-            bus_transactions=bus_tx.copy(),
-            response_means=resp_mean.copy(),
-            response_counts=resp_count.copy(),
-        )
+        results: list[VectorSimulationResult] = []
+        start = 0
+        for cell in self._cells:
+            lo, start = start, start + len(cell.seeds)
+            part = slice(lo, start)
+            config = cell.config
+            results.append(VectorSimulationResult(
+                n_processors=config.n_processors,
+                protocol_label=config.protocol.label,
+                sharing_label=f"{config.workload.sharing_fraction * 100:g}%",
+                seeds=cell.seeds,
+                requests_measured=cw_count[part].copy(),
+                elapsed_cycles=elapsed[part].copy(),
+                mean_cycle_time=r_mean[part].copy(),
+                speedup=speedup[part].copy(),
+                speedup_ci_halfwidth=speedup_half[part].copy(),
+                processing_power=power[part].copy(),
+                u_bus=u_bus[part].copy(),
+                u_mem=u_mem[part].copy(),
+                w_bus=w_bus[part].copy(),
+                w_bus_stddev=w_bus_stddev[part].copy(),
+                q_bus_seen=q_bus_seen[part].copy(),
+                mean_interference_wait=interference[part].copy(),
+                bus_transactions=bus_tx[part].copy(),
+                response_means=resp_mean[:, part].copy(),
+                response_counts=resp_count[:, part].copy(),
+            ))
+        return results
+
+
+def plan_launches(
+        cells: Sequence[tuple[SimulationConfig, Sequence[int]]],
+) -> list[list[int]]:
+    """Split ``(config, seeds)`` cells into launches.
+
+    Returns lists of cell indices, one per launch, ordered by each
+    launch's first cell.  Cells sharing :func:`launch_key` are packed in
+    input order until the next one would push the launch past
+    :data:`MAX_LAUNCH_LANES` lanes; a cell is never split, so a cell
+    wider than the cap runs as a launch of its own.
+    """
+    launches: list[list[int]] = []
+    open_launches: dict[tuple, tuple[list[int], int]] = {}
+    for index, (config, seeds) in enumerate(cells):
+        key = launch_key(config)
+        indices, lanes = open_launches.get(key, (None, 0))
+        if indices is None or lanes + len(seeds) > MAX_LAUNCH_LANES:
+            indices, lanes = [], 0
+            launches.append(indices)
+        indices.append(index)
+        open_launches[key] = (indices, lanes + len(seeds))
+    return launches
+
+
+def simulate_cells(
+        cells: Sequence[tuple[SimulationConfig, Sequence[int]]],
+) -> list[VectorSimulationResult]:
+    """Run many ``(config, seeds)`` cells in the launches
+    :func:`plan_launches` picks.
+
+    The results come back one per cell, in input order, each
+    bit-identical to a solo :func:`simulate_many` of that cell.
+    """
+    results: list[VectorSimulationResult | None] = [None] * len(cells)
+    for indices in plan_launches(cells):
+        launch = VectorSnoopingBusSimulator.from_cells(
+            [cells[i] for i in indices])
+        for index, result in zip(indices, launch.run()):
+            results[index] = result
+    return results  # type: ignore[return-value]
 
 
 def simulate_many(config: SimulationConfig, reps: int,
@@ -873,6 +1093,7 @@ def simulate_many(config: SimulationConfig, reps: int,
 
     ``seeds`` defaults to ``config.seed + r`` for replication ``r``;
     pass an explicit sequence (length ``reps``) to control each
-    replication's stream.
+    replication's stream.  This is a one-cell launch of the same engine
+    :func:`simulate_cells` drives.
     """
-    return VectorSnoopingBusSimulator(config, reps, seeds=seeds).run()
+    return VectorSnoopingBusSimulator(config, reps, seeds=seeds).run()[0]

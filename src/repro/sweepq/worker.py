@@ -9,12 +9,14 @@ failed).
 
 Inside a chunk the MVA cells are solved by **one** call to
 :func:`repro.service.executor.solve_mva_cells` -- the vectorized
-:func:`repro.core.batch.solve_batch` fixed point -- so one lease
-round-trip covers the whole slice; simulation cells take the scalar
-retrying path (they are seconds-per-cell, the dispatch overhead is
-noise).  Per-cell failure isolation is inherited from the executor
-payloads: an unsolvable cell becomes an error payload in the extras
-sidecar, never a dead worker.
+:func:`repro.core.batch.solve_batch` fixed point -- and the simulation
+cells by one :func:`repro.service.executor.solve_sim_cells` call, which
+runs the chunk's vector-engine cells as merged lockstep launches (cells
+sharing an architecture and sample size, packed up to
+:data:`repro.sim.vector.MAX_LAUNCH_LANES` lanes) and the rest through
+the retrying per-cell path.  Per-cell failure isolation is inherited from
+the executor payloads: an unsolvable cell becomes an error payload in
+the extras sidecar, never a dead worker.
 
 The same loop runs in two modes:
 
@@ -76,27 +78,29 @@ def solve_chunk(tasks: list[Any], start: int, stop: int,
     """Solve ``tasks[start:stop]`` into the store; return JSON extras.
 
     MVA cells go through the production batch path in one call
-    (:func:`repro.service.executor.solve_mva_cells`); simulation cells
-    run the retrying per-cell path.
+    (:func:`repro.service.executor.solve_mva_cells`), simulation cells
+    through the production launch path in another
+    (:func:`repro.service.executor.solve_sim_cells`).
     """
-    from repro.service.executor import evaluate_with_retry, solve_mva_cells
+    from repro.service.executor import solve_mva_cells, solve_sim_cells
 
     extras: dict[str, Any] = {}
-    mva_indices = [i for i in range(start, stop)
-                   if tasks[i].method == "mva"]
-    if mva_indices:
-        values = solve_mva_cells([tasks[i] for i in mva_indices])
-        for index, value in zip(mva_indices, values):
+
+    def write(indices: list[int], values: list[dict[str, Any]]) -> None:
+        for index, value in zip(indices, values):
             cell_extras = store.write(index, tasks[index], value)
             if cell_extras is not None:
                 extras[str(index)] = cell_extras
-    for index in range(start, stop):
-        if tasks[index].method == "mva":
-            continue
-        value = evaluate_with_retry(tasks[index], sim_retries)
-        cell_extras = store.write(index, tasks[index], value)
-        if cell_extras is not None:
-            extras[str(index)] = cell_extras
+
+    mva_indices = [i for i in range(start, stop)
+                   if tasks[i].method == "mva"]
+    sim_indices = [i for i in range(start, stop)
+                   if tasks[i].method != "mva"]
+    if mva_indices:
+        write(mva_indices, solve_mva_cells([tasks[i] for i in mva_indices]))
+    if sim_indices:
+        write(sim_indices, solve_sim_cells([tasks[i] for i in sim_indices],
+                                           sim_retries))
     # No msync here: MAP_SHARED pages are coherent across processes as
     # written, and on-disk durability of the transport file is not a
     # correctness input (resume rests on the result cache).

@@ -27,9 +27,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.model import CacheMVAModel
-from repro.service.executor import CellTask, SweepExecutor, run_reference
+from repro.service.executor import (
+    CellTask,
+    SweepExecutor,
+    run_reference,
+    sim_launches,
+    simulate_launch,
+)
 from repro.sim.config import SimulationConfig
-from repro.sim.system import simulate
+from repro.sim.system import SimulationResult, simulate
 from repro.sim.vector import simulate_many
 from repro.verify.invariants import Audit, audit_sim_result
 from repro.verify.violations import Severity
@@ -109,17 +115,34 @@ def diff_scalar_batch(tasks: Sequence[CellTask],
     return audit
 
 
-def diff_mva_des(task: CellTask,
+def simulate_des(tasks: Sequence[CellTask]) -> list[SimulationResult]:
+    """The seeded DES result of each ``method="sim"`` task, in order.
+
+    The tasks run the way the production path runs them
+    (:func:`repro.service.executor.sim_launches`): vector-engine tasks
+    as merged lockstep launches, each cell folding its ``sim_reps``
+    replications into one aggregate whose CI is the across-seed band,
+    and scalar-engine tasks one by one.
+    """
+    results: dict[int, SimulationResult] = {}
+    for indices in sim_launches(tasks):
+        results.update(zip(indices, simulate_launch(
+            [tasks[i] for i in indices])))
+    return [results[index] for index in range(len(tasks))]
+
+
+def diff_mva_des(task: CellTask, result: SimulationResult,
                  speedup_band: float | None = None,
                  ubus_band: float | None = None) -> Audit:
     """One MVA-vs-DES parity cell (the Tables 4.2/4.3 experiment).
 
     Solves the cell analytically (scalar engine, recovery enabled) and
-    runs the seeded discrete-event simulator on the same workload,
-    protocol and architecture, then checks the relative speedup error
-    against the declared band.  The DES is the arbiter of record: the
-    violation reports the MVA value as observed and the simulated value
-    as expected.
+    compares it with ``result``, the seeded discrete-event simulation
+    of the same workload, protocol and architecture
+    (:func:`simulate_des`), checking the relative speedup error against
+    the declared band.  The DES is the arbiter of record: the violation
+    reports the MVA value as observed and the simulated value as
+    expected.
     """
     speedup_band = (TOLERANCES["mva-vs-des-speedup"]
                     if speedup_band is None else speedup_band)
@@ -132,14 +155,6 @@ def diff_mva_des(task: CellTask,
     model = CacheMVAModel(task.workload, task.protocol, arch=task.arch,
                           solver=task.solver)
     report = model.solve(task.n, recovery=True)
-    config = SimulationConfig(
-        n_processors=task.n, workload=task.workload,
-        protocol=task.protocol, arch=task.arch, seed=task.sim_seed,
-        measured_requests=task.sim_requests)
-    # ``sim_engine="vector"`` folds ``sim_reps`` lockstep replications
-    # into one aggregate whose CI is the across-seed band -- the
-    # multi-seed form of this experiment at the same total sample size.
-    result = simulate(config, engine=task.sim_engine, reps=task.sim_reps)
 
     # While the DES output is in hand, hold it to the sim-stats laws
     # too (ranges, the speedup identity, the contention-free floor).

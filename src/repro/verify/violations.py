@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -94,14 +95,29 @@ class VerifyReport:
     violations: list[Violation] = field(default_factory=list)
     #: Section label -> number of checks, for the report breakdown.
     sections: dict[str, int] = field(default_factory=dict)
+    #: Section label -> wall seconds spent producing its checks.
+    section_seconds: dict[str, float] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
+    #: When the previous batch was added (or the report was created).
+    _lap: float = field(default_factory=time.perf_counter, repr=False,
+                        compare=False)
 
     def add(self, violations: list[Violation], checks: int,
             section: str) -> None:
-        """Fold one check batch into the report."""
+        """Fold one check batch into the report.
+
+        The wall time since the previous batch (or the report's
+        creation) is charged to ``section``: a run adds each audit as
+        soon as it is computed, so the work in between is that audit's
+        and the section times partition the run.
+        """
+        now = time.perf_counter()
         self.violations.extend(violations)
         self.checks += checks
         self.sections[section] = self.sections.get(section, 0) + checks
+        self.section_seconds[section] = (
+            self.section_seconds.get(section, 0.0) + now - self._lap)
+        self._lap = now
 
     @property
     def errors(self) -> list[Violation]:
@@ -129,7 +145,8 @@ class VerifyReport:
                  f"{len(self.warnings)} warnings "
                  f"({self.elapsed_seconds:.2f}s)"]
         for section, count in sorted(self.sections.items()):
-            lines.append(f"  {section}: {count} checks")
+            lines.append(f"  {section}: {count} checks "
+                         f"({self.section_seconds.get(section, 0.0):.2f}s)")
         for violation in self.violations:
             lines.append(f"  - {violation.describe()}")
         lines.append("verdict: " + ("ok" if self.ok else "FAILED"))
@@ -143,6 +160,9 @@ class VerifyReport:
             "sections": dict(sorted(self.sections.items())),
             "violations": [v.as_dict() for v in self.violations],
             "elapsed_seconds": round(self.elapsed_seconds, 6),
+            "section_elapsed_seconds": {
+                section: round(seconds, 6)
+                for section, seconds in sorted(self.section_seconds.items())},
         }
 
     def to_json(self) -> str:

@@ -60,14 +60,15 @@ class TestSimulatorDeterminism:
         """The runner's MVA-vs-DES differential is seeded; the same
         cell audited twice yields identical violation payloads."""
         from repro.service.executor import CellTask
-        from repro.verify.differential import diff_mva_des
+        from repro.verify.differential import diff_mva_des, simulate_des
 
         task = CellTask(
             protocol=ProtocolSpec.of(2),
             sharing_label="5%",
             workload=appendix_a_workload(SharingLevel.FIVE_PERCENT),
             n=4, method="sim", sim_requests=2_000, sim_seed=7)
-        first, second = diff_mva_des(task), diff_mva_des(task)
+        first, second = (diff_mva_des(task, simulate_des([task])[0])
+                         for _ in range(2))
         assert first.checks == second.checks
         assert ([v.as_dict() for v in first.violations]
                 == [v.as_dict() for v in second.violations])

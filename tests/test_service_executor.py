@@ -422,3 +422,210 @@ class TestSerialFallback:
             SweepExecutor(jobs=0)
         with pytest.raises(ValueError):
             SweepExecutor(sim_retries=-1)
+
+
+def _vector_tasks():
+    """Vector-engine sim cells across two launch groups, plus one
+    scalar-engine cell."""
+    workload = appendix_a_workload(SharingLevel.FIVE_PERCENT)
+    tasks = [CellTask(protocol=spec, sharing_label="5%", workload=workload,
+                      n=n, method="sim", sim_requests=requests,
+                      sim_seed=40 + n, sim_engine="vector", sim_reps=reps)
+             for spec, requests in ((ProtocolSpec(), 400),
+                                    (ProtocolSpec.of(1, 2, 3, 4), 400),
+                                    (ProtocolSpec.of(2), 500))
+             for n, reps in ((1, 2), (4, 3))]
+    tasks.insert(2, _sim_tasks()[0])
+    return tasks
+
+
+def _without_elapsed(values):
+    return [{k: v for k, v in value.items() if k != "elapsed_s"}
+            for value in values]
+
+
+def _count_launches(monkeypatch):
+    from repro.sim.vector import VectorSnoopingBusSimulator
+
+    launches = []
+    original = VectorSnoopingBusSimulator.run
+
+    def counted(self):
+        launches.append(self.reps)
+        return original(self)
+
+    monkeypatch.setattr(VectorSnoopingBusSimulator, "run", counted)
+    return launches
+
+
+class TestSolveSimCells:
+    def test_matches_the_per_cell_path(self, monkeypatch):
+        tasks = _vector_tasks()
+        reference = [evaluate_with_retry(task, 2) for task in tasks]
+        launches = _count_launches(monkeypatch)
+        values = executor_module.solve_sim_cells(tasks)
+        assert _without_elapsed(values) == _without_elapsed(reference)
+        # Two launch groups (400 and 500 measured requests); the
+        # scalar-engine cell never enters either.
+        assert sorted(launches) == [2 + 3, 2 * (2 + 3)]
+
+    def test_launch_failure_falls_back_per_cell(self, monkeypatch):
+        tasks = _vector_tasks()
+        reference = [evaluate_with_retry(task, 2) for task in tasks]
+
+        def broken(launch):
+            raise RuntimeError("launch on fire")
+
+        monkeypatch.setattr(executor_module, "simulate_launch", broken)
+        values = executor_module.solve_sim_cells(tasks)
+        assert _without_elapsed(values) == _without_elapsed(reference)
+        for value, expected in zip(values, reference):
+            assert value["effective_seed"] == expected["effective_seed"]
+            assert value["attempts"] == expected["attempts"] == 1
+
+    def test_fallback_keeps_per_cell_retry_seeds(self, monkeypatch):
+        """A raising launch hands its cells to the retrying per-cell
+        path, so a cell that fails there too is retried with the same
+        bumped seed the per-cell path uses."""
+        task = _vector_tasks()[0]
+        real_simulate = executor_module.simulate
+        calls = {"n": 0}
+
+        def flaky(config, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("transient failure")
+            return real_simulate(config, **kwargs)
+
+        def broken(launch):
+            raise RuntimeError("launch on fire")
+
+        monkeypatch.setattr(executor_module, "simulate_launch", broken)
+        monkeypatch.setattr(executor_module, "simulate", flaky)
+        (value,) = executor_module.solve_sim_cells([task])
+        stride = executor_module._RETRY_SEED_STRIDE
+        assert value["attempts"] == 2
+        assert value["effective_seed"] == task.sim_seed + stride
+        assert "transient failure" in value["retried_after"]
+
+    def test_scalar_cells_never_enter_a_launch(self, monkeypatch):
+        tasks = _sim_tasks()
+        launches = _count_launches(monkeypatch)
+        values = executor_module.solve_sim_cells(tasks)
+        assert launches == []
+        assert _without_elapsed(values) == _without_elapsed(
+            [evaluate_with_retry(task, 2) for task in tasks])
+
+    def test_elapsed_is_the_amortized_launch_time(self):
+        values = executor_module.solve_sim_cells(_vector_tasks()[:2])
+        assert values[0]["elapsed_s"] == values[1]["elapsed_s"] > 0.0
+
+
+class TestOneLaunchPerGroup:
+    def _spec(self):
+        return GridSpec(protocols=[ProtocolSpec(), ProtocolSpec.of(1, 2, 3, 4)],
+                        sizes=[2, 4],
+                        sharing_levels=[SharingLevel.FIVE_PERCENT],
+                        include_simulation=True, sim_requests=400,
+                        sim_engine="vector", sim_reps=2)
+
+    def test_executor_grid_is_one_launch(self, monkeypatch):
+        launches = _count_launches(monkeypatch)
+        result = SweepExecutor(jobs=1).run_spec(self._spec())
+        assert result.summary.mode == "batch+serial"
+        assert launches == [4 * 2]
+        assert [c.as_row() for c in result.cells] == \
+            [c.as_row() for c in run_reference(
+                tasks_for_spec(self._spec())).cells]
+
+    def test_sweep_queue_grid_is_one_launch(self, monkeypatch):
+        from repro.sweepq import SweepQueue
+
+        launches = _count_launches(monkeypatch)
+        tasks = tasks_for_spec(self._spec())
+        queue = SweepQueue()
+        try:
+            outcome = queue.run_tasks(tasks, workers=1)
+        finally:
+            queue.close()
+        assert launches == [4 * 2]
+        assert [v["cell"] for v in outcome.values] == \
+            [c.as_row() for c in run_reference(tasks).cells]
+
+    def test_wide_grid_is_split_at_the_lane_cap(self, monkeypatch):
+        """Launches never exceed ``MAX_LAUNCH_LANES``, and splitting a
+        group changes no value."""
+        import repro.sim.vector as vector_module
+
+        monkeypatch.setattr(vector_module, "MAX_LAUNCH_LANES", 5)
+        launches = _count_launches(monkeypatch)
+        tasks = tasks_for_spec(self._spec())
+        result = SweepExecutor(jobs=1).run(tasks)
+        assert launches == [4, 4]
+        assert [c.as_row() for c in result.cells] == \
+            [c.as_row() for c in run_reference(tasks).cells]
+
+
+class TestSimCellsPersistPerLaunch:
+    def _spec(self):
+        return GridSpec(protocols=[ProtocolSpec()], sizes=[2, 3, 4],
+                        sharing_levels=[SharingLevel.FIVE_PERCENT],
+                        include_simulation=True, sim_requests=300,
+                        sim_engine="vector", sim_reps=2)
+
+    def test_interrupt_keeps_finished_launches(self, tmp_path,
+                                               monkeypatch):
+        """A sweep interrupted during its second launch keeps the first
+        launch's cells in the on-disk store."""
+        import repro.sim.vector as vector_module
+        from repro.sim.vector import VectorSnoopingBusSimulator
+
+        monkeypatch.setattr(vector_module, "MAX_LAUNCH_LANES", 4)
+        original = VectorSnoopingBusSimulator.run
+        lanes = []
+
+        def dies_on_second(self):
+            lanes.append(self.reps)
+            if len(lanes) == 2:
+                raise KeyboardInterrupt
+            return original(self)
+
+        monkeypatch.setattr(VectorSnoopingBusSimulator, "run",
+                            dies_on_second)
+        path = tmp_path / "cells.json"
+        tasks = tasks_for_spec(self._spec())
+        with pytest.raises(KeyboardInterrupt):
+            SweepExecutor(jobs=1, cache=ResultCache(path=path)).run(tasks)
+        assert lanes == [4, 2]
+        reloaded = ResultCache(path=path)
+        # 3 MVA cells plus the first launch's two sim cells.
+        assert len(reloaded) == 5
+        sims = [task for task in tasks if task.method == "sim"]
+        reference = run_reference(sims[:2])
+        for task, cell in zip(sims[:2], reference.cells):
+            assert reloaded.get(task.key)["cell"] == cell.as_row()
+        assert reloaded.get(sims[2].key) is None
+
+    def test_strict_sweep_stops_after_the_failing_launch(self,
+                                                         monkeypatch):
+        import repro.sim.vector as vector_module
+        from repro.service.executor import CellFailedError
+
+        monkeypatch.setattr(vector_module, "MAX_LAUNCH_LANES", 2)
+        launched = []
+
+        def broken_launch(launch):
+            launched.append(len(launch))
+            raise RuntimeError("launch on fire")
+
+        def broken_cell(task):
+            raise RuntimeError("cell on fire")
+
+        monkeypatch.setattr(executor_module, "simulate_launch",
+                            broken_launch)
+        monkeypatch.setattr(executor_module, "evaluate_task", broken_cell)
+        tasks = [t for t in tasks_for_spec(self._spec())
+                 if t.method == "sim"]
+        with pytest.raises(CellFailedError, match="cell on fire"):
+            SweepExecutor(jobs=1, strict=True).run(tasks)
+        assert launched == [1]

@@ -18,7 +18,11 @@ from repro.service.executor import CellTask, evaluate_task
 from repro.service.keys import task_key
 from repro.sim.config import BusDiscipline, SimulationConfig
 from repro.sim.system import SimulationResult, simulate
-from repro.sim.vector import VectorSnoopingBusSimulator, simulate_many
+from repro.sim.vector import (
+    VectorSnoopingBusSimulator,
+    simulate_cells,
+    simulate_many,
+)
 from repro.verify.invariants import audit_sim_result
 
 
@@ -89,6 +93,137 @@ class TestSeedSemantics:
                          bus_discipline=BusDiscipline.RANDOM)
         with pytest.raises(ValueError, match="FCFS"):
             VectorSnoopingBusSimulator(config, reps=2)
+
+
+#: Every per-replication field of a VectorSimulationResult.
+_FIELDS = ("requests_measured", "elapsed_cycles", "mean_cycle_time",
+           "speedup", "speedup_ci_halfwidth", "processing_power", "u_bus",
+           "u_mem", "w_bus", "w_bus_stddev", "q_bus_seen",
+           "mean_interference_wait", "bus_transactions", "response_means",
+           "response_counts")
+
+
+def _assert_identical(merged, solo):
+    assert merged.n_processors == solo.n_processors
+    assert merged.protocol_label == solo.protocol_label
+    assert merged.sharing_label == solo.sharing_label
+    assert merged.seeds == solo.seeds
+    for name in _FIELDS:
+        a, b = getattr(merged, name), getattr(solo, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), (
+            f"{solo.protocol_label} N={solo.n_processors}: {name} differs "
+            "between the merged launch and a solo run")
+
+
+class TestMergedLaunch:
+    """Cells sharing one launch are bit-identical to solo launches."""
+
+    def _cells(self, workload, warmup=200):
+        # Write-Once and 1,2,3,4 at N in {1, 4, 16}, 3 or 16
+        # replications, and seed 500 in every cell.
+        cells = []
+        for mods in ((), (1, 2, 3, 4)):
+            for n in (1, 4, 16):
+                reps = 16 if n == 4 else 3
+                config = _config(workload, n=n, mods=mods, warmup=warmup,
+                                 measured=800)
+                cells.append((config, [500 + r for r in range(reps)]))
+        return cells
+
+    @pytest.mark.parametrize("warmup", [200, 0])
+    def test_merged_cells_match_solo_runs(self, workload_5pct, warmup):
+        """Without warm-up the initial bursts stay in busy_cycles, so
+        the second case also pins their per-lane (unpadded) sum."""
+        cells = self._cells(workload_5pct, warmup)
+        merged = simulate_cells(cells)
+        assert len(merged) == len(cells)
+        for (config, seeds), result in zip(cells, merged):
+            _assert_identical(result,
+                              simulate_many(config, len(seeds), seeds))
+
+    def test_permuting_cells_permutes_results(self, workload_5pct):
+        cells = self._cells(workload_5pct)
+        order = [4, 0, 5, 2, 1, 3]
+        forward = simulate_cells(cells)
+        permuted = simulate_cells([cells[i] for i in order])
+        for position, index in enumerate(order):
+            _assert_identical(permuted[position], forward[index])
+
+    def test_one_launch_per_shared_setting(self, workload_5pct,
+                                           monkeypatch):
+        launches = []
+        original = VectorSnoopingBusSimulator.run
+
+        def counted(self):
+            launches.append(self.reps)
+            return original(self)
+
+        monkeypatch.setattr(VectorSnoopingBusSimulator, "run", counted)
+        short = _config(workload_5pct, n=2, warmup=100, measured=300)
+        longer = _config(workload_5pct, n=3, warmup=100, measured=400)
+        results = simulate_cells([(short, [1, 2]), (longer, [3]),
+                                  (short, [4, 5, 6])])
+        # The two cells with 300 measured requests share one 5-lane
+        # launch; the 400-request cell needs its own.
+        assert sorted(launches) == [1, 5]
+        assert [r.seeds for r in results] == [(1, 2), (3,), (4, 5, 6)]
+
+    def test_launch_reports_its_lanes_and_shared_counts(self,
+                                                        workload_5pct):
+        cells = self._cells(workload_5pct)
+        launch = VectorSnoopingBusSimulator.from_cells(cells)
+        assert launch.reps == sum(len(seeds) for _, seeds in cells)
+        assert launch.config.warmup_requests == 200
+        assert launch.config.measured_requests == 800
+
+    def test_launches_are_capped_in_lanes(self, workload_5pct):
+        """Cells are packed in order up to ``MAX_LAUNCH_LANES`` lanes
+        per launch; a cell wider than the cap runs alone, never split."""
+        from repro.sim.vector import MAX_LAUNCH_LANES, plan_launches
+
+        short = _config(workload_5pct, measured=300)
+        longer = _config(workload_5pct, measured=400)
+        half = MAX_LAUNCH_LANES // 2
+        cells = [(short, range(half)), (longer, range(3)),
+                 (short, range(half)), (short, range(1)),
+                 (short, range(2 * MAX_LAUNCH_LANES)), (short, range(1))]
+        assert plan_launches(cells) == [[0, 2], [1], [3], [4], [5]]
+
+    def test_split_launches_match_solo_runs(self, workload_5pct,
+                                            monkeypatch):
+        import repro.sim.vector as vector_module
+
+        monkeypatch.setattr(vector_module, "MAX_LAUNCH_LANES", 16)
+        cells = self._cells(workload_5pct)
+        assert vector_module.plan_launches(cells) == [[0], [1], [2, 3], [4], [5]]
+        for (config, seeds), result in zip(cells, simulate_cells(cells)):
+            _assert_identical(result,
+                              simulate_many(config, len(seeds), seeds))
+
+    def test_cells_must_share_launch_settings(self, workload_5pct):
+        with pytest.raises(ValueError, match="share"):
+            VectorSnoopingBusSimulator.from_cells([
+                (_config(workload_5pct, measured=300), [1]),
+                (_config(workload_5pct, measured=400), [2])])
+
+    def test_refill_boundary_is_a_function_of_the_lanes_own_n(self):
+        """A lane's uniform buffer refills at its own chunk boundary
+        (``max(4096, 8 * max(5, N))``), not the widest lane's, so a
+        small-N lane draws the same stream next to an N=600 lane."""
+        from repro.sim.vector import _UniformLanes
+
+        solo = _UniformLanes([7], [5])
+        merged = _UniformLanes([7, 8], [5, 600])
+        lane = np.array([0])
+        for _ in range(1_000):
+            assert np.array_equal(merged.take(lane, 5), solo.take(lane, 5))
+
+    def test_single_processor_cell_runs_solo(self, workload_5pct):
+        vector = simulate_many(_config(workload_5pct, n=1, warmup=100,
+                                       measured=500), reps=2)
+        assert np.all(vector.requests_measured >= 500)
+        assert np.all(vector.speedup > 0.0)
 
 
 class TestSaturatedCorners:

@@ -14,7 +14,13 @@ import pytest
 
 from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.service.executor import CellTask
-from repro.verify import TOLERANCES, diff_mva_des, diff_scalar_batch
+from repro.sim.system import simulate
+from repro.verify import (
+    TOLERANCES,
+    diff_mva_des,
+    diff_scalar_batch,
+    simulate_des,
+)
 from repro.verify.violations import Severity
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
@@ -74,14 +80,33 @@ class TestMvaVsDes:
             workload=appendix_a_workload(SharingLevel.FIVE_PERCENT),
             n=n, method="sim", sim_requests=requests, sim_seed=42)
 
+    def _diff(self, task, **bands):
+        (result,) = simulate_des([task])
+        return diff_mva_des(task, result, **bands)
+
     def test_agreement_within_band(self):
-        audit = diff_mva_des(self._task())
+        audit = self._diff(self._task())
         assert not _errors(audit), audit.violations
+
+    def test_simulate_des_matches_per_cell_runs(self):
+        """The merged vector launch and the scalar path hand the oracle
+        exactly what a per-cell ``simulate`` call would."""
+        workload = appendix_a_workload(SharingLevel.FIVE_PERCENT)
+        tasks = [CellTask(protocol=spec, sharing_label="5%",
+                          workload=workload, n=n, method="sim",
+                          sim_requests=600, sim_seed=5 + n,
+                          sim_engine="vector", sim_reps=3)
+                 for spec in (ProtocolSpec(), ProtocolSpec.of(1, 2, 3, 4))
+                 for n in (2, 5)]
+        tasks.append(self._task(requests=600))
+        expected = [simulate(task.sim_config(), engine=task.sim_engine,
+                             reps=task.sim_reps) for task in tasks]
+        assert simulate_des(tasks) == expected
 
     def test_sim_stats_audited_in_same_pass(self):
         """diff_mva_des folds the sim-stats laws in, so the check count
         reflects both the parity laws and the DES-internal ones."""
-        audit = diff_mva_des(self._task())
+        audit = self._diff(self._task())
         assert audit.checks > 10
 
     def test_perturbed_mva_equation_is_caught(self, monkeypatch):
@@ -100,7 +125,7 @@ class TestMvaVsDes:
             return dataclasses.replace(new, w_bus=new.w_bus * 1.5)
 
         monkeypatch.setattr(eq_mod.EquationSystem, "step", inflated)
-        audit = diff_mva_des(self._task(n=10))
+        audit = self._diff(self._task(n=10))
         speedup = [v for v in _errors(audit)
                    if v.law == "mva-des-speedup"]
         assert speedup, "a perturbed MVA must not pass the DES oracle"
@@ -112,7 +137,7 @@ class TestMvaVsDes:
     def test_band_override(self):
         """An impossible band makes even an honest cell fail -- the
         band plumbing is live, not decorative."""
-        audit = diff_mva_des(self._task(), speedup_band=1e-9)
+        audit = self._diff(self._task(), speedup_band=1e-9)
         assert any(v.law == "mva-des-speedup" for v in _errors(audit))
 
 

@@ -46,6 +46,21 @@ class TestRunVerify:
         assert all(count > 0
                    for count in quick_report.sections.values())
 
+    def test_every_section_is_timed(self, quick_report):
+        """Each section carries a non-negative wall time, and the
+        section times partition (never exceed) the run total."""
+        assert set(quick_report.section_seconds) == \
+            set(quick_report.sections)
+        assert all(seconds >= 0.0
+                   for seconds in quick_report.section_seconds.values())
+        assert sum(quick_report.section_seconds.values()) <= \
+            quick_report.elapsed_seconds
+        payload = json.loads(quick_report.to_json())
+        assert set(payload["section_elapsed_seconds"]) == \
+            set(payload["sections"])
+        assert all(seconds >= 0.0 for seconds
+                   in payload["section_elapsed_seconds"].values())
+
     def test_only_documented_warnings_on_main(self, quick_report):
         """The seed code's sole soft spot is the deep-saturation
         utilization artifact; any new warning law appearing here is a
