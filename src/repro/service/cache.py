@@ -58,8 +58,11 @@ class ResultCache:
         *used* entries are evicted first.
     path:
         Optional JSON file for persistence across processes/runs.  The
-        file is read once at construction; call :meth:`flush` (or use
-        the executor, which flushes after every sweep) to write back.
+        file is read once at construction; call :meth:`flush` to write
+        back.  :class:`~repro.service.executor.SweepExecutor` flushes
+        after every fresh cell it stores -- each MVA cell once its batch
+        solve returns, each simulation cell as soon as its launch
+        returns -- and once more at the end of the sweep.
     """
 
     def __init__(self, capacity: int = 4096,

@@ -7,10 +7,23 @@ for the steady-state estimates reported against the MVA.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-from scipy import stats as _scipy_stats
+
+@functools.lru_cache(maxsize=None)
+def t_quantile(q: float, df: int) -> float:
+    """Student-t critical value ``t.ppf(q, df)``, memoized.
+
+    SciPy is imported here, on the first call, rather than at module
+    level: loading ``scipy.stats`` costs about a second and tens of MB,
+    and only a confidence interval after a DES run needs it, so MVA-only
+    processes never pay for it.
+    """
+    import scipy.stats
+
+    return float(scipy.stats.t.ppf(q, df=df))
 
 
 class Welford:
@@ -143,6 +156,6 @@ class BatchMeans:
         k = len(means)
         grand = sum(means) / k
         var = sum((m - grand) ** 2 for m in means) / (k - 1)
-        t_crit = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=k - 1))
+        t_crit = t_quantile(0.5 + level / 2.0, k - 1)
         half = t_crit * math.sqrt(var / k)
         return half, grand

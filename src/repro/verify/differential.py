@@ -24,6 +24,7 @@ Disagreements come back as structured
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 
 from repro.core.model import CacheMVAModel
@@ -34,9 +35,8 @@ from repro.service.executor import (
     sim_launches,
     simulate_launch,
 )
-from repro.sim.config import SimulationConfig
 from repro.sim.system import SimulationResult, simulate
-from repro.sim.vector import simulate_many
+from repro.sim.vector import VectorSimulationResult
 from repro.verify.invariants import Audit, audit_sim_result
 from repro.verify.violations import Severity
 
@@ -188,12 +188,16 @@ def diff_mva_des(task: CellTask, result: SimulationResult,
     return audit
 
 
-def diff_scalar_vector(task: CellTask, reps: int = 8) -> Audit:
+def diff_scalar_vector(task: CellTask,
+                       vector: VectorSimulationResult) -> Audit:
     """Statistical-equivalence oracle between the scalar and vector DES.
 
-    Runs the same cell through both simulators over the same ``reps``
-    seeds (``task.sim_seed + r``) and compares the across-seed means of
-    the measured quantities.  The engines consume *different* uniform
+    ``vector`` is the cell's vector-engine run (its
+    :meth:`~repro.service.executor.CellTask.vector_cell` through
+    :func:`~repro.sim.vector.simulate_cells`, so several cells can share
+    one launch); the scalar simulator runs the same cell once per seed
+    of ``vector.seeds`` and the across-seed means of the measured
+    quantities are compared.  The engines consume *different* uniform
     streams per seed -- the scalar simulator spawns one PCG64 child per
     component while the vector engine serves one buffered stream per
     replication -- so per-seed estimates are independent samples of the
@@ -204,22 +208,15 @@ def diff_scalar_vector(task: CellTask, reps: int = 8) -> Audit:
     mis-ordered grant -- shifts a mean by far more than a band and is
     what this oracle exists to catch.
     """
+    reps = vector.n_replications
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a meaningful band, "
                          f"got {reps!r}")
     subject = (f"{task.protocol.label} {task.sharing_label} "
                f"N={task.n} [scalar-vs-vector]")
     audit = Audit(subject=subject)
-    seeds = [task.sim_seed + r for r in range(reps)]
-
-    def config(seed: int) -> SimulationConfig:
-        return SimulationConfig(
-            n_processors=task.n, workload=task.workload,
-            protocol=task.protocol, arch=task.arch, seed=seed,
-            measured_requests=task.sim_requests)
-
-    scalar = [simulate(config(seed)) for seed in seeds]
-    vector = simulate_many(config(seeds[0]), reps=reps, seeds=seeds)
+    scalar = [simulate(dataclasses.replace(task.sim_config(), seed=seed))
+              for seed in vector.seeds]
 
     def mean(values: Sequence[float]) -> float:
         return sum(values) / len(values)

@@ -40,6 +40,7 @@ from repro.core.solver import FixedPointSolver
 from repro.protocols.modifications import all_combinations
 from repro.service.executor import CellTask
 from repro.service.metrics import MetricsRegistry
+from repro.sim.vector import simulate_cells
 from repro.verify import differential, golden, invariants
 from repro.verify.invariants import Audit
 from repro.verify.violations import VerifyReport
@@ -199,16 +200,20 @@ def run_verify(tier: str = "quick",
 
     # -- differential oracle: scalar vs vector DES (full tier) ---------
     if tier == "full":
-        for mods in _EQUIVALENCE_MODS:
-            spec = next(p for p in protocols
-                        if p.mod_numbers == frozenset(mods))
-            task = CellTask(protocol=spec, sharing_label="5%",
-                            workload=workload, n=4, method="sim",
-                            sim_requests=_EQUIVALENCE_REQUESTS,
-                            sim_seed=DES_SEED)
+        eq_specs = [next(p for p in protocols
+                         if p.mod_numbers == frozenset(mods))
+                    for mods in _EQUIVALENCE_MODS]
+        eq_tasks = [CellTask(protocol=spec, sharing_label="5%",
+                             workload=workload, n=4, method="sim",
+                             sim_requests=_EQUIVALENCE_REQUESTS,
+                             sim_seed=DES_SEED, sim_engine="vector",
+                             sim_reps=_EQUIVALENCE_REPS)
+                    for spec in eq_specs]
+        # Both cells' vector runs share one lockstep launch.
+        vectors = simulate_cells([task.vector_cell() for task in eq_tasks])
+        for task, vector in zip(eq_tasks, vectors):
             _record(metrics, report,
-                    differential.diff_scalar_vector(
-                        task, reps=_EQUIVALENCE_REPS),
+                    differential.diff_scalar_vector(task, vector),
                     "engine-equivalence")
 
     # -- stress corners (full tier): failure isolation -----------------

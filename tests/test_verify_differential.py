@@ -15,12 +15,14 @@ import pytest
 from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.service.executor import CellTask
 from repro.sim.system import simulate
+from repro.sim.vector import simulate_cells
 from repro.verify import (
     TOLERANCES,
     diff_mva_des,
     diff_scalar_batch,
     simulate_des,
 )
+from repro.verify.differential import diff_scalar_vector
 from repro.verify.violations import Severity
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
@@ -139,6 +141,26 @@ class TestMvaVsDes:
         band plumbing is live, not decorative."""
         audit = self._diff(self._task(), speedup_band=1e-9)
         assert any(v.law == "mva-des-speedup" for v in _errors(audit))
+
+
+class TestScalarVsVector:
+    def _cell(self, requests, reps):
+        task = CellTask(
+            protocol=ProtocolSpec.of(1, 2, 3, 4), sharing_label="5%",
+            workload=appendix_a_workload(SharingLevel.FIVE_PERCENT),
+            n=4, method="sim", sim_requests=requests, sim_seed=7,
+            sim_engine="vector", sim_reps=reps)
+        (vector,) = simulate_cells([task.vector_cell()])
+        return task, vector
+
+    def test_equivalence_holds(self):
+        audit = diff_scalar_vector(*self._cell(requests=4_000, reps=6))
+        assert audit.checks > 4
+        assert not _errors(audit), audit.violations
+
+    def test_needs_two_replications(self):
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            diff_scalar_vector(*self._cell(requests=200, reps=1))
 
 
 class TestDeclaredTolerances:
