@@ -25,6 +25,14 @@ per-cell reference loop (:func:`repro.service.executor.run_reference`,
 ``evaluate_with_retry`` per task) -- what production ran before the
 batch engine became its only MVA path.
 
+3. **Request stages** (unfloored) -- a fresh 32-point curve shaped
+   like a ``/v1/solve`` request (one of the 16 combinations at 1, 5 or
+   20% sharing with a seeded ``workload.tau``) through
+   ``evaluate_mva_batch``, in ms per curve, split into ``step`` (the
+   vectorized sweeps), ``sweep`` (the per-sweep bookkeeping around
+   them), ``finalize`` (recording the cells each rung freezes) and
+   ``assembly`` (grouping, derivation and the cache-value dicts).
+
 Quick mode (``REPRO_BENCH_QUICK=1``, used by the CI smoke job) shrinks
 the stress grid and relaxes the speedup floor -- tiny grids cannot
 amortize the batch engine's fixed costs, and CI runners are noisy.
@@ -36,8 +44,10 @@ baseline, ``BENCH_sweepq.json``-style; the CI quick run parks its copy
 as an artifact and restores the committed one).
 """
 
+import itertools
 import json
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -49,8 +59,10 @@ from conftest import once  # noqa: E402
 from repro.analysis.experiments import TABLE_41_PROTOCOLS
 from repro.analysis.grid import GridSpec, run_grid
 from repro.analysis.stress import stress_tasks
-from repro.core.batch import solve_batch
+from repro.core import batch as batch_module
+from repro.core.batch import BatchEquationSystem, BatchSolveResult, solve_batch
 from repro.core.model import TABLE_41_SIZES, CacheMVAModel
+from repro.service.app import ModelService
 from repro.service.executor import (SweepExecutor, evaluate_mva_batch,
                                     evaluate_task, run_reference,
                                     tasks_for_spec)
@@ -66,6 +78,9 @@ STRESS_SIZES = (4, 16, 64) if QUICK else tuple(range(4, 260, 8))
 SPEEDUP_FLOOR = 1.2 if QUICK else 5.0
 
 _REPS = 2 if QUICK else 5
+
+#: Fresh request curves timed by the request-stage section.
+REQUEST_CURVES = 20 if QUICK else 200
 
 
 def _best(fn, reps=_REPS):
@@ -164,7 +179,7 @@ def test_stress_grid_speedup(benchmark, emit, output_dir):
         tiers = {}
         tiers["solve"] = (_best(scalar_solve),
                           _best(lambda: solve_batch(systems, solver=solver,
-                                                    traces=False)))
+                                                    traces=False).diagnostics))
         tiers["evaluate"] = (_best(scalar_evaluate),
                              _best(lambda: evaluate_mva_batch(tasks)))
         tiers["executor"] = (
@@ -190,3 +205,96 @@ def test_stress_grid_speedup(benchmark, emit, output_dir):
     assert engine_ratio >= SPEEDUP_FLOOR, (
         f"batch engine {engine_ratio:.2f}x over scalar on the stress grid, "
         f"below the {SPEEDUP_FLOOR}x floor")
+
+
+def _request_curves(count: int, seed: int = 14) -> list:
+    """``count`` fresh ``/v1/solve`` curves as the service builds them:
+    32 points from a seeded start, one of the 16 combinations at 1, 5
+    or 20% sharing, and a seeded ``workload.tau`` (so no two curves
+    share derived inputs)."""
+    rng = random.Random(seed)
+    protocols = [",".join(map(str, mods)) or "write-once"
+                 for size in range(5)
+                 for mods in itertools.combinations((1, 2, 3, 4), size)]
+    service = ModelService()
+    curves = []
+    for _ in range(count):
+        start = rng.randint(1, 97)
+        payload = {"protocol": rng.choice(protocols),
+                   "sharing": rng.choice(("1", "5", "20")),
+                   "n": list(range(start, start + 32)),
+                   "workload": {"tau": round(rng.uniform(1.0, 5.0), 12)}}
+        curves.append(service.solve_prepare(payload, strict=True)[1])
+    return curves
+
+
+def test_request_curve_stages(benchmark, emit, output_dir, monkeypatch):
+    """Where a fresh ``/v1/solve`` curve's ``evaluate_mva_batch`` time
+    goes (unfloored; best of ``_REPS`` passes over the curves)."""
+    curves = _request_curves(REQUEST_CURVES)
+    spent = {"step": 0.0, "finalize": 0.0, "solve": 0.0}
+    calls = {"step": 0}
+
+    def timed(owner, name, stage):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent[stage] += time.perf_counter() - started
+                if stage == "step":
+                    calls["step"] += 1
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def run_curves():
+        for tasks in curves:
+            evaluate_mva_batch(tasks)
+
+    def measure():
+        # Untraced and traced passes alternate, so host drift hits both
+        # alike; each keeps its fastest pass.
+        untimed = float("inf")
+        passes = []
+        for _ in range(_REPS):
+            started = time.perf_counter()
+            run_curves()
+            untimed = min(untimed, time.perf_counter() - started)
+            timed(BatchEquationSystem, "step", "step")
+            timed(BatchSolveResult, "finalize", "finalize")
+            timed(batch_module, "solve_batch", "solve")
+            for stage in spent:
+                spent[stage] = 0.0
+            calls["step"] = 0
+            started = time.perf_counter()
+            run_curves()
+            total = time.perf_counter() - started
+            monkeypatch.undo()
+            passes.append((total, dict(spent), calls["step"]))
+        return untimed, min(passes, key=lambda entry: entry[0])
+
+    untimed, (total, stages, steps) = once(benchmark, measure)
+    count = len(curves)
+    per_curve = {
+        "step": stages["step"],
+        "sweep": stages["solve"] - stages["step"] - stages["finalize"],
+        "finalize": stages["finalize"],
+        "assembly": total - stages["solve"],
+    }
+    stages_ms = {name: seconds / count * 1e3
+                 for name, seconds in per_curve.items()}
+    lines = [f"E14 request stages ({count} fresh 32-point curves"
+             f"{', quick mode' if QUICK else ''}; "
+             f"{steps / count:.1f} sweeps per curve):",
+             f"  evaluate_mva_batch: {untimed / count * 1e3:.3f} ms "
+             "per curve (untraced)"]
+    lines += [f"  {name:9s}: {value:.3f} ms"
+              for name, value in stages_ms.items()]
+    emit("batch.txt", "\n".join(lines) + "\n")
+    _write_json(output_dir, {"request": {
+        "curves": count, "points": 32, "quick": QUICK,
+        "sweeps_per_curve": steps / count,
+        "ms_per_curve": untimed / count * 1e3,
+        "stages_ms": stages_ms}})

@@ -23,11 +23,16 @@ Semantics mirror the scalar engine cell for cell:
   :meth:`repro.core.solver.FixedPointSolver.solve_with_recovery`,
   warm-started from their last iterate, while already-converged cells
   keep their first-rung result;
-* per-cell :class:`repro.core.solver.SolverDiagnostics` are
-  reconstructed at the end (iterations, ladder, damping, recovery and
-  saturation-knee warnings, final-rung traces), so downstream
-  consumers -- ``GridCell`` rows, metrics, failure records -- are
-  drop-in identical to scalar solves.
+* per-cell outcomes come back as **columns** in a
+  :class:`BatchSolveResult` (iterations, convergence, ladder rung,
+  final residual, the frozen state matrix).  Its per-cell
+  :class:`repro.core.solver.SolverDiagnostics` (iterations, ladder,
+  damping, recovery and saturation-knee warnings, final-rung traces)
+  and :class:`repro.core.equations.ModelState` objects are built
+  *lazily*, on first access, and equal what a scalar solve records, so
+  downstream consumers -- ``GridCell`` rows, metrics, failure records
+  -- are drop-in identical.  Callers that only need a few columns (the
+  executor's cache values) never pay for the per-cell objects.
 
 Because the iteration is lockstep, rung boundaries are global: every
 live cell has performed the same number of sweeps in its current rung,
@@ -36,17 +41,28 @@ exactly as if each cell had been solved alone.
 Hot-path notes: every quantity that does not change between sweeps
 (the ``p' ~ 1`` branch mask of equation 13, the queue-length ``N - 1``
 factor, the constant products of equations 9-12) is precomputed at
-batch construction, the two ``p_busy`` evaluations (bus and memory)
-run as one call on a stacked ``(2, cells)`` array, and converged lanes
-are *not* masked out of the sweep -- their state was already
-snapshotted the sweep they froze, so whatever they compute afterwards
-is simply never read.
+batch construction, and a sweep-invariant branch that no cell takes
+costs no NumPy call.  A sweep writes its whole proposal into one
+preallocated ``(len(STATE_ROWS), cells)`` matrix (double-buffered
+against the committed state), the two ``p_busy`` evaluations (bus and
+memory) run as one call on its stacked utilization rows, and the lanes
+that converge in a sweep are snapshotted with one stacked write.
+Converged lanes are *not* masked out of the sweep -- their state was
+already snapshotted the sweep they froze, so whatever they compute
+afterwards is simply never read.
+
+The saturation-knee check needs each cell's contraction rate
+(:func:`repro.core.solver.estimate_contraction_rate`).  It is computed
+for a whole rung at once with NumPy as a screen; the exact scalar
+function runs only for cells that carry a warning or whose screened
+rate lies within ``1e-9`` of the knee, so every knee decision and every
+reported rate is the scalar function's value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +78,7 @@ from repro.core.solver import (
 )
 
 __all__ = [
+    "STATE_ROWS",
     "BatchEquationSystem",
     "BatchSolveResult",
     "solve_batch",
@@ -70,6 +87,29 @@ __all__ = [
 #: Tiny positive stand-in used under a ``where`` mask so masked lanes
 #: never divide by zero (their results are discarded by the mask).
 _SAFE = 1.0
+
+#: Rows of the state matrix a sweep fills: the iterated quantities
+#: (rows 0-3; the first three are the damped ones), the pass-through
+#: proposal fields of :class:`ModelState`, and ``r_total`` -- the
+#: proposed cycle time of equation 1, equal bit for bit to the
+#: committed state's ``response.total`` and the convergence-trace entry.
+STATE_ROWS = ("w_bus", "w_mem", "q_bus", "n_interference", "u_bus",
+              "u_mem", "r_local", "r_broadcast", "r_remote_read", "r_total")
+_W_BUS, _W_MEM, _Q_BUS, _N_INTERFERENCE, _U_BUS, _U_MEM, _R_LOCAL, \
+    _R_BROADCAST, _R_REMOTE, _R_TOTAL = range(len(STATE_ROWS))
+#: Rows compared between sweeps for convergence.
+_ITERATED = 4
+
+#: Screened contraction rates closer than this to the knee are
+#: recomputed with the exact scalar estimator before deciding.
+_KNEE_MARGIN = 1e-9
+
+
+def _near_one(p_prime: np.ndarray) -> np.ndarray:
+    """``np.isclose(p_prime, 1.0, rtol=1e-9, atol=1e-12)``, elementwise
+    identical (NaN and infinities are never close) at a fraction of
+    its call overhead."""
+    return np.abs(p_prime - 1.0) <= 1e-12 + 1e-9 * 1.0
 
 
 def _p_busy_vec(utilization: np.ndarray, n: np.ndarray,
@@ -88,10 +128,15 @@ def _p_busy_vec(utilization: np.ndarray, n: np.ndarray,
     u = np.minimum(utilization, n_f)
     own = u / n_f
     denominator = 1.0 - own
-    positive = denominator > 0.0
-    safe = np.where(positive, denominator, _SAFE)
-    value = np.clip((u - own) / safe, 0.0, 1.0 - 1e-12)
-    value = np.where(positive, value, 1.0 - 1e-12)
+    # Lanes at or past saturation (denominator <= 0, or NaN) keep the
+    # cap; the others are clamped into [0, cap].  The clamp is
+    # ``np.clip``'s (it differs from maximum-then-minimum only on a
+    # -0.0 input, and ``u - own`` is never -0.0) at a fraction of its
+    # call overhead.
+    value = np.full(u.shape, 1.0 - 1e-12)
+    np.divide(u - own, denominator, out=value, where=denominator > 0.0)
+    np.maximum(value, 0.0, out=value)
+    np.minimum(value, 1.0 - 1e-12, out=value)
     return np.where(multi, value, 0.0)
 
 
@@ -100,7 +145,7 @@ def _n_interference_vec(p: np.ndarray, p_prime: np.ndarray,
     """Vectorized equation (13); elementwise identical to
     :meth:`repro.workload.derived.CacheInterference.n_interference`."""
     zero = (q_bus <= 0.0) | (p <= 0.0)
-    near_one = np.isclose(p_prime, 1.0, rtol=1e-9, atol=1e-12)
+    near_one = _near_one(p_prime)
     safe_pp = np.where(near_one, 0.5, p_prime)
     general = p * (1.0 - safe_pp ** q_bus) / (1.0 - safe_pp)
     value = np.where(near_one, p * q_bus, general)
@@ -158,10 +203,12 @@ class BatchEquationSystem:
         # (8): the N > 1 branch of p_busy.
         self._multi = self.n > 1
         self._n_f = np.where(self._multi, self.n, 2.0)
-        # (13): the p' ~ 1 branch selection (p' never changes).
+        # (13): the p' ~ 1 branch selection (p' never changes).  The
+        # flags let a sweep skip a branch no cell of the batch takes.
         self._p_zero = self.p_interference <= 0.0
-        self._pp_near_one = np.isclose(self.p_prime, 1.0,
-                                       rtol=1e-9, atol=1e-12)
+        self._any_p_zero = bool(self._p_zero.any())
+        self._pp_near_one = _near_one(self.p_prime)
+        self._any_near_one = bool(self._pp_near_one.any())
         self._pp_safe = np.where(self._pp_near_one, 0.5, self.p_prime)
         self._pp_one_minus = 1.0 - self._pp_safe
 
@@ -192,38 +239,52 @@ class BatchEquationSystem:
         return self.from_arrays(
             {name: getattr(self, name)[keep] for name in self._FIELDS})
 
-    def step(self, w_bus: np.ndarray, w_mem: np.ndarray,
-             q_bus: np.ndarray) -> dict[str, np.ndarray]:
+    def step(self, w_bus: np.ndarray, w_mem: np.ndarray, q_bus: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         """One vectorized sweep: previous waiting times -> proposed state.
 
-        Returns every quantity of the proposed iterate as ``(cells,)``
-        arrays (the batch analogue of the scalar
-        :class:`repro.core.equations.ModelState`), plus ``r_total``
-        (the proposed cycle time, equation 1) which doubles as the
-        convergence-trace entry.
+        Fills and returns a ``(len(STATE_ROWS), cells)`` matrix, one row
+        per :data:`STATE_ROWS` name: the batch analogue of the scalar
+        :class:`repro.core.equations.ModelState`, plus ``r_total`` (the
+        proposed cycle time, equation 1).  ``out`` (optional) receives
+        the rows and must not share memory with the inputs.
         """
+        if out is None:
+            out = np.empty((len(STATE_ROWS), self.n_cells))
         n = self.n
         # --- response times (equations 1-4) ---------------------------
         # (13) with the constant p' branch masks precomputed.
-        power = self._pp_safe ** q_bus
-        general = self.p_interference * (1.0 - power) / self._pp_one_minus
-        value = np.where(self._pp_near_one,
-                         self.p_interference * q_bus, general)
-        n_interference = np.where((q_bus <= 0.0) | self._p_zero, 0.0, value)
-        r_local = self.p_local * n_interference * self.t_interference
-        r_broadcast = self.p_bc * (w_bus + w_mem + self.t_bc)
-        r_remote = self.p_rr * (w_bus + self.t_read)
-        r_total = (self.tau + r_local + r_broadcast + r_remote
-                   + self.t_supply)
+        n_interference = out[_N_INTERFERENCE]
+        np.divide(self.p_interference * (1.0 - self._pp_safe ** q_bus),
+                  self._pp_one_minus, out=n_interference)
+        if self._any_near_one:
+            np.copyto(n_interference, self.p_interference * q_bus,
+                      where=self._pp_near_one)
+        zero = q_bus <= 0.0
+        if self._any_p_zero:
+            zero |= self._p_zero
+        np.copyto(n_interference, 0.0, where=zero)
+        r_local = np.multiply(self.p_local * n_interference,
+                              self.t_interference, out=out[_R_LOCAL])
+        r_broadcast = np.multiply(self.p_bc, w_bus + w_mem + self.t_bc,
+                                  out=out[_R_BROADCAST])
+        r_remote = np.multiply(self.p_rr, w_bus + self.t_read,
+                               out=out[_R_REMOTE])
+        r_total = np.add(self.tau, r_local, out=out[_R_TOTAL])
+        r_total += r_broadcast
+        r_total += r_remote
+        r_total += self.t_supply
 
         # --- bus queueing (equations 5-10) -----------------------------
-        q_new = self._n_minus_1 * (r_broadcast + r_remote) / r_total
+        q_new = np.multiply(self._n_minus_1, r_broadcast + r_remote,
+                            out=out[_Q_BUS])
+        q_new /= r_total
         bus_service_bc = w_mem + self.t_bc
         pbc_service = self.p_bc * bus_service_bc
         bus_demand = pbc_service + self._rr_read
 
         # (8) once for both servers: utilizations stacked as (2, cells).
-        u_stack = np.empty((2, n.shape[0]))
+        u_stack = out[_U_BUS:_U_MEM + 1]
         np.multiply(n, bus_demand, out=u_stack[0])
         u_stack[1] = self._u_mem_num
         u_stack /= r_total
@@ -236,61 +297,238 @@ class BatchEquationSystem:
         t_res = (weight_bc * bus_service_bc / 2.0
                  + (1.0 - weight_bc) * self.t_read / 2.0)
         waiting_others = np.maximum(q_new - p_busy[0], 0.0)
-        w_bus_new = np.where(
-            busy, waiting_others * t_bus + p_busy[0] * t_res, 0.0)
+        w_bus_new = np.multiply(waiting_others, t_bus, out=out[_W_BUS])
+        w_bus_new += p_busy[0] * t_res
+        np.copyto(w_bus_new, 0.0, where=~busy)
 
         # --- memory interference (equations 11-12) ---------------------
-        w_mem_new = p_busy[1] * self.d_mem / 2.0
-
-        return {
-            "w_bus": w_bus_new,
-            "w_mem": w_mem_new,
-            "q_bus": q_new,
-            "n_interference": n_interference,
-            "u_bus": u_stack[0],
-            "u_mem": u_stack[1],
-            "r_local": r_local,
-            "r_broadcast": r_broadcast,
-            "r_remote_read": r_remote,
-            "r_total": r_total,
-        }
+        w_mem_new = np.multiply(p_busy[1], self.d_mem, out=out[_W_MEM])
+        w_mem_new /= 2.0
+        return out
 
 
-@dataclass(frozen=True)
+def _contraction_rates(residuals: np.ndarray,
+                       sweeps: np.ndarray, tail: int = 5) -> np.ndarray:
+    """:func:`estimate_contraction_rate` for every column at once.
+
+    Column ``j`` of ``residuals`` is one cell's residual trace; only its
+    first ``sweeps[j]`` rows count.  Same window (the last ``tail``
+    ratios of consecutive residuals above ``1e-14``) and formula, but
+    NumPy's ``log``/``exp`` need not match :mod:`math` to the last bit,
+    so the result is a screen, not a reported value.
+    """
+    before, after = residuals[:-1], residuals[1:]
+    pair = np.arange(1, residuals.shape[0])[:, None]
+    window = (before > 1e-14) & (after > 1e-14) & (pair < sweeps)
+    # Keep each column's last ``tail`` valid pairs.
+    window &= np.cumsum(window[::-1], axis=0)[::-1] <= tail
+    count = np.count_nonzero(window, axis=0)
+    # Pairs outside the window contribute log(1) = 0.
+    logs = np.divide(after, before, out=np.ones_like(after), where=window)
+    np.log(logs, out=logs)
+    mean = logs.sum(axis=0) / np.maximum(count, 1)
+    return np.where(count > 0, np.exp(mean), 0.0)
+
+
 class BatchSolveResult:
-    """Per-cell outcomes of one batched solve, in input order."""
+    """Per-cell outcomes of one batched solve, in input order.
 
-    states: list[ModelState]
-    diagnostics: list[SolverDiagnostics]
+    Stored as columns, one entry per cell: ``iterations`` (total sweeps
+    over every rung walked), ``converged``, ``rung`` (index into
+    ``ladder`` of the damping factor that produced the result),
+    ``final_residual``, ``warned`` (the cell carries at least one
+    :class:`SolverWarning`) and ``state``, the committed state matrix
+    with one row per :data:`STATE_ROWS` name (:meth:`column` reads one).
+
+    ``states`` and ``diagnostics`` -- the per-cell
+    :class:`ModelState` / :class:`SolverDiagnostics` objects a scalar
+    solve returns -- are built on first access and cached;
+    :meth:`diagnostic` and :meth:`warnings` build one cell's.  Solving
+    with ``traces=True`` keeps each rung's residual and cycle-time
+    matrices so the diagnostics can carry the final-rung traces.
+    """
+
+    def __init__(self, batch: BatchEquationSystem,
+                 solver: FixedPointSolver, ladder: Sequence[float],
+                 recovery: bool, traces: bool):
+        total = batch.n_cells
+        self.ladder = tuple(ladder)
+        self._max_iterations = solver.max_iterations
+        self._recovery = recovery
+        self.iterations = np.zeros(total, dtype=np.int64)
+        self.converged = np.zeros(total, dtype=bool)
+        self.rung = np.zeros(total, dtype=np.int64)
+        self.final_residual = np.zeros(total)
+        self.warned = np.zeros(total, dtype=bool)
+        self.state = np.zeros((len(STATE_ROWS), total))
+        self._tau = batch.tau
+        self._t_supply = batch.t_supply
+        # The exact scalar contraction rate of every warned cell (the
+        # other entries stay 0).
+        self._rate = np.zeros(total)
+        # With traces: rung -> (residual matrix, cycle-time matrix), and
+        # each cell's column in its rung's matrices.
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] | None = (
+            {} if traces else None)
+        self._column = np.zeros(total, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return int(self.iterations.shape[0])
 
     @property
     def all_converged(self) -> bool:
-        return all(d.converged for d in self.diagnostics)
+        return bool(self.converged.all())
 
+    @property
+    def recovered(self) -> np.ndarray:
+        """Cells that converged only past the first ladder rung."""
+        if not self._recovery:
+            return np.zeros_like(self.converged)
+        return self.converged & (self.rung > 0)
 
-#: The damped-blend state fields (matches ``EquationSystem.damped``).
-_DAMPED = ("w_bus", "w_mem", "q_bus")
-#: The pass-through proposed fields carried for the final state.
-_PROPOSED = ("n_interference", "u_bus", "u_mem",
-             "r_local", "r_broadcast", "r_remote_read")
+    def column(self, name: str) -> np.ndarray:
+        """One committed state field (a :data:`STATE_ROWS` name)."""
+        return self.state[STATE_ROWS.index(name)]
 
+    def finalize(self, cells: np.ndarray, columns: np.ndarray,
+                 sweeps: np.ndarray, final_residual: np.ndarray,
+                 converged: bool, rung: int, frozen: np.ndarray,
+                 residual_matrix: np.ndarray,
+                 cycle_matrix: np.ndarray | None) -> None:
+        """Record the cells frozen in one rung.
 
-def _snapshot(frozen: dict[str, np.ndarray], mask: np.ndarray,
-              quad: np.ndarray, proposed: dict[str, np.ndarray]) -> None:
-    """Capture the committed state of the lanes in ``mask``.
+        ``cells`` are their input positions, ``columns`` their positions
+        in the rung's live sub-batch (the columns of ``frozen`` and of
+        the rung's per-sweep ``residual_matrix``), ``sweeps`` the sweeps
+        each spent in this rung.
+        """
+        self.iterations[cells] = rung * self._max_iterations + sweeps
+        self.converged[cells] = converged
+        self.rung[cells] = rung
+        self.final_residual[cells] = final_residual
+        self.state[:, cells] = frozen[:, columns]
+        if self._blocks is not None:
+            assert cycle_matrix is not None
+            self._blocks[rung] = (residual_matrix, cycle_matrix)
+            self._column[cells] = columns
+        if not self._recovery:
+            return  # a plain solve records no warnings
+        if converged and rung == 0:
+            # Only a knee warning is possible: screen every cell at
+            # once, and let the exact estimator decide the cells at or
+            # near the knee (it also supplies the reported rate).
+            rates = _contraction_rates(residual_matrix[:, columns], sweeps)
+            exact = np.flatnonzero(
+                ~(np.abs(rates - SATURATION_KNEE_RATE) > _KNEE_MARGIN)
+                | (rates >= SATURATION_KNEE_RATE)).tolist()
+        else:
+            exact = range(cells.size)  # every such cell warns
+        cell_list, column_list = cells.tolist(), columns.tolist()
+        sweep_list = sweeps.tolist()
+        for position in exact:
+            rate = estimate_contraction_rate(
+                residual_matrix[:sweep_list[position],
+                                column_list[position]].tolist())
+            cell = cell_list[position]
+            self._rate[cell] = rate
+            self.warned[cell] = (rate >= SATURATION_KNEE_RATE
+                                 or not converged or rung > 0)
 
-    ``quad`` rows 0-2 hold the damped-blend values (what the scalar
-    engine commits); the pass-through fields come straight from the
-    proposal, exactly like :meth:`FixedPointSolver` state updates.
-    """
-    frozen["w_bus"][mask] = quad[0][mask]
-    frozen["w_mem"][mask] = quad[1][mask]
-    frozen["q_bus"][mask] = quad[2][mask]
-    for name in _PROPOSED:
-        frozen[name][mask] = proposed[name][mask]
+    @cached_property
+    def states(self) -> list[ModelState]:
+        """Per-cell committed states (built on first access)."""
+        rows = self.state.tolist()
+        return [
+            ModelState(w_bus=w_bus, w_mem=w_mem, q_bus=q_bus,
+                       n_interference=n_interference, u_bus=u_bus,
+                       u_mem=u_mem,
+                       response=ResponseBreakdown(
+                           tau=tau, r_local=r_local,
+                           r_broadcast=r_broadcast,
+                           r_remote_read=r_remote_read, t_supply=t_supply))
+            for (w_bus, w_mem, q_bus, n_interference, u_bus, u_mem,
+                 r_local, r_broadcast, r_remote_read, tau, t_supply)
+            in zip(*rows[:_R_TOTAL], self._tau.tolist(),
+                   self._t_supply.tolist())]
+
+    @cached_property
+    def diagnostics(self) -> list[SolverDiagnostics]:
+        """Per-cell diagnostics (built on first access)."""
+        return [self._diagnostic(cell, iterations, converged, rung, residual)
+                for cell, (iterations, converged, rung, residual)
+                in enumerate(zip(self.iterations.tolist(),
+                                 self.converged.tolist(), self.rung.tolist(),
+                                 self.final_residual.tolist()))]
+
+    def diagnostic(self, cell: int) -> SolverDiagnostics:
+        """One cell's diagnostics, without building the others'."""
+        return self._diagnostic(
+            cell, self.iterations[cell].item(), self.converged[cell].item(),
+            self.rung[cell].item(), self.final_residual[cell].item())
+
+    def warnings(self, cell: int) -> tuple[SolverWarning, ...]:
+        """One cell's structured warnings (empty unless ``warned``)."""
+        if not self.warned[cell]:
+            return ()
+        return self._warnings(
+            cell, self.iterations[cell].item(), self.converged[cell].item(),
+            self.rung[cell].item(), self.final_residual[cell].item())
+
+    def _diagnostic(self, cell: int, iterations: int, converged: bool,
+                    rung: int, final_residual: float) -> SolverDiagnostics:
+        trace: tuple[float, ...] = ()
+        residual_trace: tuple[float, ...] = ()
+        if self._blocks is not None:
+            residual_matrix, cycle_matrix = self._blocks[rung]
+            column = self._column[cell].item()
+            sweeps = iterations - rung * self._max_iterations
+            trace = tuple(cycle_matrix[:sweeps, column].tolist())
+            residual_trace = tuple(residual_matrix[:sweeps, column].tolist())
+        return SolverDiagnostics(
+            iterations=iterations,
+            converged=converged,
+            final_residual=final_residual,
+            trace=trace,
+            residual_trace=residual_trace,
+            damping=self.ladder[rung],
+            ladder=self.ladder[:rung + 1],
+            recovered=self._recovery and converged and rung > 0,
+            warnings=(self._warnings(cell, iterations, converged, rung,
+                                     final_residual)
+                      if self.warned[cell] else ()))
+
+    def _warnings(self, cell: int, iterations: int, converged: bool,
+                  rung: int, final_residual: float
+                  ) -> tuple[SolverWarning, ...]:
+        """The warnings the scalar ``solve_with_recovery`` attaches."""
+        attempted = list(self.ladder[:rung + 1])
+        rate = self._rate[cell].item()
+        knee = rate >= SATURATION_KNEE_RATE
+        warnings: list[SolverWarning] = []
+        if not converged:
+            warnings.append(SolverWarning(
+                code="saturation-knee" if knee else "not-converged",
+                message=("no fixed point after damping ladder "
+                         f"{attempted} ({iterations} total sweeps, final "
+                         f"residual {final_residual:.3e})"),
+                contraction_rate=rate))
+            return tuple(warnings)
+        if rung > 0:
+            warnings.append(SolverWarning(
+                code="damping-recovery",
+                message=("converged only after damping ladder "
+                         f"{attempted} ({iterations} total sweeps, "
+                         "warm-started)"),
+                contraction_rate=rate))
+        if knee:
+            warnings.append(SolverWarning(
+                code="saturation-knee",
+                message=(f"contraction rate {rate:.4f} ~ 1: the system "
+                         "sits on the saturation knee; results are "
+                         "converged but the iteration is near its "
+                         "stability limit"),
+                contraction_rate=rate))
+        return tuple(warnings)
 
 
 def solve_batch(
@@ -312,8 +550,8 @@ def solve_batch(
     structured warnings the scalar solver attaches, so callers keep
     their per-cell failure isolation.
 
-    ``traces=False`` skips materializing the per-sweep ``trace`` /
-    ``residual_trace`` tuples in the diagnostics (they come back
+    ``traces=False`` skips keeping the per-sweep matrices behind the
+    diagnostics' ``trace`` / ``residual_trace`` tuples (they come back
     empty).  Iteration counts, residuals, contraction rates and
     warnings are unaffected -- the executor path uses this because
     grid rows and cache values never carry traces.
@@ -321,190 +559,84 @@ def solve_batch(
     solver = solver if solver is not None else FixedPointSolver()
     batch = (systems if isinstance(systems, BatchEquationSystem)
              else BatchEquationSystem(systems))
-    total = batch.n_cells
+    tolerance = solver.tolerance
 
     factors = [solver.damping]
     if recovery:
         factors += [rung for rung in ladder if rung < factors[-1] - 1e-12]
+    result = BatchSolveResult(batch, solver, factors, recovery, traces)
 
-    # The four iterated quantities of the *live* sub-batch, stacked as
-    # one (4, live) matrix: rows w_bus, w_mem, q_bus, n_interference.
-    quad = np.zeros((4, total))
-    live = np.arange(total)
-
-    states: list[ModelState | None] = [None] * total
-    diags: list[SolverDiagnostics | None] = [None] * total
-
-    def finalize(cells: np.ndarray, columns: np.ndarray,
-                 converged: bool, rung_index: int,
-                 iters_in_rung: np.ndarray, residual: np.ndarray,
-                 frozen: dict[str, np.ndarray],
-                 cycle_matrix: np.ndarray | None,
-                 residual_matrix: np.ndarray) -> None:
-        """Reconstruct scalar-identical states and diagnostics for the
-        cells frozen in this rung (``columns`` are their positions in
-        the rung's live sub-batch)."""
-        attempted = factors[:rung_index + 1]
-        base_iterations = rung_index * solver.max_iterations
-        # Gather the frozen state columns in one shot per field.
-        gathered = {name: frozen[name][columns].tolist()
-                    for name in _DAMPED + _PROPOSED}
-        tau_values = sub.tau[columns].tolist()
-        t_supply_values = sub.t_supply[columns].tolist()
-        # One bulk transpose-and-convert instead of two NumPy column
-        # slices per cell: the rate estimate and the trace tuples want
-        # Python floats anyway (the pairwise ratio loop is an order of
-        # magnitude slower over NumPy scalars).
-        residual_columns = residual_matrix[:, columns].T.tolist()
-        cycle_columns = (cycle_matrix[:, columns].T.tolist()
-                         if cycle_matrix is not None else None)
-        for position, (cell, sweeps, final_residual) in enumerate(
-                zip(cells.tolist(), iters_in_rung.tolist(),
-                    residual.tolist())):
-            residual_list = residual_columns[position][:sweeps]
-            rate = estimate_contraction_rate(residual_list)
-            if cycle_columns is not None:
-                trace = tuple(cycle_columns[position][:sweeps])
-                residual_trace = tuple(residual_list)
-            else:
-                trace = ()
-                residual_trace = ()
-            total_iterations = base_iterations + sweeps
-            warnings: list[SolverWarning] = []
-            if not recovery:
-                # Mirror the plain ``FixedPointSolver.solve`` record:
-                # no structured warnings, single-rung ladder.
-                recovered = False
-            elif converged:
-                recovered = rung_index > 0
-                if recovered:
-                    warnings.append(SolverWarning(
-                        code="damping-recovery",
-                        message=("converged only after damping ladder "
-                                 f"{attempted} ({total_iterations} total "
-                                 "sweeps, warm-started)"),
-                        contraction_rate=rate))
-                if rate >= SATURATION_KNEE_RATE:
-                    warnings.append(SolverWarning(
-                        code="saturation-knee",
-                        message=(f"contraction rate {rate:.4f} ~ 1: the "
-                                 "system sits on the saturation knee; "
-                                 "results are converged but the iteration "
-                                 "is near its stability limit"),
-                        contraction_rate=rate))
-            else:
-                recovered = False
-                code = ("saturation-knee" if rate >= SATURATION_KNEE_RATE
-                        else "not-converged")
-                warnings.append(SolverWarning(
-                    code=code,
-                    message=("no fixed point after damping ladder "
-                             f"{attempted} ({total_iterations} total "
-                             "sweeps, final residual "
-                             f"{final_residual:.3e})"),
-                    contraction_rate=rate))
-            diags[cell] = SolverDiagnostics(
-                iterations=total_iterations,
-                converged=converged,
-                final_residual=final_residual,
-                trace=trace,
-                residual_trace=residual_trace,
-                damping=factors[rung_index],
-                ladder=tuple(attempted),
-                recovered=recovered,
-                warnings=tuple(warnings))
-            states[cell] = ModelState(
-                w_bus=gathered["w_bus"][position],
-                w_mem=gathered["w_mem"][position],
-                q_bus=gathered["q_bus"][position],
-                n_interference=gathered["n_interference"][position],
-                u_bus=gathered["u_bus"][position],
-                u_mem=gathered["u_mem"][position],
-                response=ResponseBreakdown(
-                    tau=tau_values[position],
-                    r_local=gathered["r_local"][position],
-                    r_broadcast=gathered["r_broadcast"][position],
-                    r_remote_read=gathered["r_remote_read"][position],
-                    t_supply=t_supply_values[position],
-                ))
-
+    # The committed state of the *live* sub-batch, one row per
+    # STATE_ROWS name; a sweep reads rows 0-2 and compares rows 0-3.
+    current = np.zeros((len(STATE_ROWS), batch.n_cells))
+    live = np.arange(batch.n_cells)
     sub = batch
     for rung_index, factor in enumerate(factors):
-        if live.size == 0:
-            break
         width = live.size
         active = np.ones(width, dtype=bool)
-        iters_at_freeze = np.zeros(width, dtype=np.int64)
-        residual_at_freeze = np.full(width, np.inf)
-        frozen = {name: np.zeros(width) for name in _DAMPED + _PROPOSED}
+        remaining = width
+        frozen = np.zeros_like(current)
         cycle_rows: list[np.ndarray] = []
         residual_rows: list[np.ndarray] = []
-        # Double buffer for the iterated-quantities matrix: ``quad`` is
-        # the committed state, ``spare`` receives the next proposal.
-        spare = np.empty_like(quad)
-        proposed: dict[str, np.ndarray] = {}
+        # Double buffer: ``current`` is the committed state, ``spare``
+        # receives the next proposal.
+        spare = np.empty_like(current)
         with np.errstate(all="ignore"):
-            for iteration in range(1, solver.max_iterations + 1):
-                proposed = sub.step(quad[0], quad[1], quad[2])
-                new = spare
-                new[0] = proposed["w_bus"]
-                new[1] = proposed["w_mem"]
-                new[2] = proposed["q_bus"]
-                new[3] = proposed["n_interference"]
+            for _ in range(solver.max_iterations):
+                new = sub.step(current[_W_BUS], current[_W_MEM],
+                               current[_Q_BUS], out=spare)
                 if factor < 1.0:
                     # Damped blend of the waiting-time quantities (the
                     # scalar engine returns the raw proposal at factor
                     # 1, so the blend is only applied below 1 -- ``old
                     # + f*(new-old)`` is not bit-identical to ``new``).
                     head = new[:3]
-                    head -= quad[:3]
+                    head -= current[:3]
                     head *= factor
-                    head += quad[:3]
-                residual = np.abs(new - quad).max(axis=0)
+                    head += current[:3]
+                residual = np.abs(new[:_ITERATED]
+                                  - current[:_ITERATED]).max(axis=0)
                 if traces:
-                    cycle_rows.append(proposed["r_total"])
+                    cycle_rows.append(new[_R_TOTAL].copy())
                 residual_rows.append(residual)
-                newly = active & (residual < solver.tolerance)
-                if newly.any():
-                    iters_at_freeze[newly] = iteration
-                    residual_at_freeze[newly] = residual[newly]
-                    _snapshot(frozen, newly, new, proposed)
+                newly = residual < tolerance
+                newly &= active
+                count = np.count_nonzero(newly)
+                if count:
+                    frozen[:, newly] = new[:, newly]
                     active &= ~newly
+                    remaining -= count
                 # Frozen lanes keep computing, but their state was
                 # captured the sweep they converged, so nothing they
                 # produce from here on is ever read.
-                quad, spare = new, quad
-                if not active.any():
+                current, spare = new, current
+                if not remaining:
                     break
-        cycle_matrix = np.vstack(cycle_rows) if traces else None
-        residual_matrix = np.vstack(residual_rows)
-        converged_mask = ~active
-        if converged_mask.any():
-            columns = np.nonzero(converged_mask)[0]
-            finalize(live[columns], columns, True, rung_index,
-                     iters_at_freeze[columns],
-                     residual_at_freeze[columns],
-                     frozen, cycle_matrix, residual_matrix)
-        last_rung = rung_index == len(factors) - 1
-        if active.any() and last_rung:
-            _snapshot(frozen, active, quad, proposed)
-            columns = np.nonzero(active)[0]
-            sweeps = np.full(columns.size, solver.max_iterations,
-                             dtype=np.int64)
-            final_residuals = residual_matrix[-1][columns]
-            finalize(live[columns], columns, False, rung_index,
-                     sweeps, final_residuals, frozen,
-                     cycle_matrix, residual_matrix)
-            live = live[:0]
+            residual_matrix = np.vstack(residual_rows)
+            cycle_matrix = np.vstack(cycle_rows) if traces else None
+            if remaining < width:
+                columns = np.flatnonzero(~active)
+                # A lane freezes the first sweep its residual drops
+                # below the tolerance.
+                sweeps = (residual_matrix[:, columns]
+                          < tolerance).argmax(axis=0) + 1
+                result.finalize(live[columns], columns, sweeps,
+                                residual_matrix[sweeps - 1, columns],
+                                True, rung_index, frozen,
+                                residual_matrix, cycle_matrix)
+            if remaining and rung_index == len(factors) - 1:
+                columns = np.flatnonzero(active)
+                result.finalize(live[columns], columns,
+                                np.full(columns.size, solver.max_iterations),
+                                residual_matrix[-1, columns], False,
+                                rung_index, current, residual_matrix,
+                                cycle_matrix)
+                break
+        if not remaining:
             break
         # Compact to the still-unconverged cells for the next rung.
-        keep = np.nonzero(active)[0]
+        keep = np.flatnonzero(active)
         live = live[keep]
-        if live.size == 0:
-            break
         sub = sub.select(keep)
-        quad = quad[:, keep]
-
-    assert all(s is not None for s in states)
-    assert all(d is not None for d in diags)
-    return BatchSolveResult(states=states, diagnostics=diags)
+        current = current[:, keep]
+    return result

@@ -166,8 +166,9 @@ class ModelService:
         blocking path above and the asyncio front-end, which awaits the
         coalescer futures instead of blocking a thread on them)."""
         request = SolveRequest.from_payload(payload, strict=strict)
+        sharing_label = request.sharing.label
         tasks = [CellTask(protocol=request.protocol,
-                          sharing_label=request.sharing.label,
+                          sharing_label=sharing_label,
                           workload=request.workload, n=n, arch=request.arch)
                  for n in request.sizes]
         # One request's cells differ only in n: derive every cache key
@@ -381,19 +382,18 @@ class ModelService:
         """Per-cell rows with status: values, ``cached`` flag, ``error``
         for failed cells, and solve provenance (``attempts`` /
         ``effective_seed``) where it differs from the default."""
-        rows = []
-        for value, was_cached, meta in zip(result.cells, result.cached,
-                                           result.meta):
-            row = dict(value.as_row(), cached=was_cached,
-                       status="error" if value.error else "ok")
-            if meta.get("attempts", 1) > 1:
-                row["attempts"] = meta["attempts"]
-            if meta.get("effective_seed") is not None:
-                row["effective_seed"] = meta["effective_seed"]
-            if meta.get("recovered"):
+        rows = result.rows()
+        for row, was_cached, value in zip(rows, result.cached,
+                                          result.values):
+            row["cached"] = was_cached
+            row["status"] = "error" if row["error"] else "ok"
+            if value.get("attempts", 1) > 1:
+                row["attempts"] = value["attempts"]
+            if value.get("effective_seed") is not None:
+                row["effective_seed"] = value["effective_seed"]
+            if value.get("recovered"):
                 row["recovered"] = True
-                row["damping"] = meta.get("damping")
-            rows.append(row)
+                row["damping"] = value.get("damping")
         return rows
 
     @staticmethod

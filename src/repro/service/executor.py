@@ -55,7 +55,8 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any
 
 from repro.analysis.grid import GridCell, GridSpec
@@ -85,6 +86,9 @@ _RETRY_SEED_STRIDE = 100_003
 #: Default extra attempts for a failing simulation cell.
 _SIM_RETRIES = 2
 
+#: The solver every :class:`CellTask` uses unless given its own.
+DEFAULT_SOLVER = FixedPointSolver()
+
 
 @dataclass(frozen=True)
 class CellTask:
@@ -98,7 +102,10 @@ class CellTask:
     method: str = "mva"  # "mva" | "sim"
     sim_requests: int = 40_000
     sim_seed: int = 1234
-    solver: FixedPointSolver = field(default_factory=FixedPointSolver)
+    #: Defaults to the one shared :data:`DEFAULT_SOLVER` (frozen, so
+    #: sharing is safe), which keeps the batch engine's solver grouping
+    #: an identity lookup.
+    solver: FixedPointSolver = DEFAULT_SOLVER
     #: DES backend for ``method="sim"`` cells: ``"scalar"`` (the
     #: single-seed reference engine) or ``"vector"`` (the lockstep
     #: multi-replication engine; ``sim_requests`` is then *per
@@ -319,22 +326,36 @@ def evaluate_mva_batch(tasks: Sequence[CellTask]) -> list[dict[str, Any]]:
 
     count = len(tasks)
     values: list[dict[str, Any] | None] = [None] * count
+    # Identity memos in front of the value-keyed groupings: task lists
+    # usually share their workload, protocol, arch and solver instances,
+    # and hashing dataclasses per cell costs more than the whole
+    # grouping pass.
     model_groups: dict[tuple[Any, ...], list[int]] = {}
+    model_memo: dict[tuple[int, int, int], list[int]] = {}
     for index, task in enumerate(tasks):
         if task.method != "mva":
             raise ValueError("evaluate_mva_batch only accepts MVA cells, "
                              f"got {task.method!r}")
-        model_key = (task.workload, task.protocol, task.arch)
-        model_groups.setdefault(model_key, []).append(index)
+        identity = (id(task.workload), id(task.protocol), id(task.arch))
+        group = model_memo.get(identity)
+        if group is None:
+            group = model_groups.setdefault(
+                (task.workload, task.protocol, task.arch), [])
+            model_memo[identity] = group
+        group.append(index)
 
     arrays = {name: np.empty(count)
               for name in BatchEquationSystem._FIELDS}
     labels: list[str] = [""] * count
     solver_groups: dict[FixedPointSolver, list[int]] = {}
-    # Identity memo in front of the value-keyed grouping: task lists
-    # usually share one solver instance, and hashing a dataclass per
-    # cell costs more than the whole grouping pass.
     solver_memo: dict[int, list[int]] = {}
+    every = list(range(count))
+
+    def selector(indices: list[int]) -> Any:
+        # A group holding every task in order (one request's curve) is
+        # a plain slice: no index-array conversion per column.
+        return slice(None) if indices == every else np.asarray(indices)
+
     for (workload, protocol, arch), indices in model_groups.items():
         try:
             model = CacheMVAModel(workload, protocol, arch=arch)
@@ -359,12 +380,13 @@ def evaluate_mva_batch(tasks: Sequence[CellTask]) -> list[dict[str, Any]]:
             "memory_modules": inputs.arch.memory_modules,
             "memory_ops": inputs.memory_ops_per_request(),
         }
+        select = selector(indices)
         for name, value in base.items():
-            arrays[name][indices] = value
-        arrays["n"][indices] = sizes
-        arrays["p_interference"][indices] = [ci.p for ci in cells_ci]
-        arrays["p_prime"][indices] = [ci.p_prime for ci in cells_ci]
-        arrays["t_interference"][indices] = \
+            arrays[name][select] = value
+        arrays["n"][select] = sizes
+        arrays["p_interference"][select] = [ci.p for ci in cells_ci]
+        arrays["p_prime"][select] = [ci.p_prime for ci in cells_ci]
+        arrays["t_interference"][select] = \
             [ci.t_interference for ci in cells_ci]
         for index in indices:
             labels[index] = label
@@ -376,14 +398,39 @@ def evaluate_mva_batch(tasks: Sequence[CellTask]) -> list[dict[str, Any]]:
             group.append(index)
 
     for solver, indices in solver_groups.items():
+        select = selector(indices)
         batch_system = BatchEquationSystem.from_arrays(
-            {name: column[indices] for name, column in arrays.items()})
+            {name: column[select] for name, column in arrays.items()})
         batch = solve_batch(batch_system, solver=solver, traces=False)
-        for position, index in enumerate(indices):
+        # The row dicts are built straight from the result's columns
+        # (field-for-field what ``GridCell.as_row()`` emits, with the
+        # measures computed exactly like ``PerformanceReport``: the
+        # committed ``r_total`` row is ``response.total`` bit for bit);
+        # the consumer side reads them like a cache hit.  Only a cell
+        # that did not converge builds its diagnostics, for the
+        # ``SolverError`` payload.
+        n = batch_system.n
+        tau = batch_system.tau
+        cycle_time = batch.column("r_total")
+        with np.errstate(all="ignore"):
+            speedups = (n * (tau + batch_system.t_supply)
+                        / cycle_time).tolist()
+            powers = (n * tau / cycle_time).tolist()
+        # Each cell's damping is the ladder's own float (one shared
+        # object per rung, as in the scalar diagnostics).
+        dampings = [batch.ladder[rung] for rung in batch.rung.tolist()]
+        columns = zip(indices, speedups, powers,
+                      np.minimum(batch.column("u_bus"), 1.0).tolist(),
+                      batch.column("w_bus").tolist(), cycle_time.tolist(),
+                      batch.iterations.tolist(), dampings,
+                      batch.recovered.tolist(), batch.converged.tolist(),
+                      batch.warned.tolist())
+        for position, (index, speedup, power, u_bus, w_bus, cycle,
+                       iterations, damping, recovered, converged,
+                       warned) in enumerate(columns):
             task = tasks[index]
-            state = batch.states[position]
-            diagnostics = batch.diagnostics[position]
-            if not diagnostics.converged:
+            if not converged:
+                diagnostics = batch.diagnostic(position)
                 exc = SolverError(
                     "fixed point not reached after damping ladder "
                     f"{list(diagnostics.ladder)} ({diagnostics.iterations} "
@@ -392,31 +439,25 @@ def evaluate_mva_batch(tasks: Sequence[CellTask]) -> list[dict[str, Any]]:
                     diagnostics=diagnostics)
                 values[index] = _error_payload(task, exc, 1, 0.0)
                 continue
-            # The row dict is built directly (field-for-field what
-            # ``GridCell.as_row()`` emits, with the measures computed
-            # exactly like ``PerformanceReport``) -- the consumer side
-            # turns it back into a ``GridCell`` like a cache hit.
-            response = state.response
-            cycle_time = response.total
             values[index] = {
                 "cell": {
                     "protocol": labels[index],
                     "sharing": task.sharing_label,
                     "n_processors": task.n,
-                    "speedup": (task.n * (response.tau + response.t_supply)
-                                / cycle_time),
-                    "u_bus": min(state.u_bus, 1.0),
-                    "w_bus": state.w_bus,
-                    "cycle_time": cycle_time,
-                    "processing_power": task.n * response.tau / cycle_time,
+                    "speedup": speedup,
+                    "u_bus": u_bus,
+                    "w_bus": w_bus,
+                    "cycle_time": cycle,
+                    "processing_power": power,
                     "method": "mva",
                     "sim_ci": None,
                     "error": None,
                 },
-                "iterations": diagnostics.iterations,
-                "damping": diagnostics.damping,
-                "recovered": diagnostics.recovered,
-                "warnings": [w.as_dict() for w in diagnostics.warnings],
+                "iterations": iterations,
+                "damping": damping,
+                "recovered": recovered,
+                "warnings": ([w.as_dict() for w in batch.warnings(position)]
+                             if warned else []),
                 "elapsed_s": 0.0,
             }
 
@@ -619,21 +660,65 @@ class ExecutorSummary:
                 f"({self.mode})")
 
 
+#: ``GridCell.as_row()``'s keys, in its order.
+_ROW_FIELDS = tuple(f.name for f in fields(GridCell))
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Cells in task order plus per-cell provenance and the summary."""
+    """Cells in task order plus per-cell provenance and the summary.
 
-    cells: list[GridCell]
+    Holds the per-cell worker values (the cache values) as returned;
+    ``cells`` and ``meta`` are derived from them on first access, and
+    :meth:`rows` renders the row dicts straight from them, so a caller
+    that only needs rows (the ``/v1/solve`` response) never builds a
+    :class:`GridCell`.
+    """
+
+    tasks: Sequence[CellTask]
+    #: Per-cell worker values in task order (the ``GridCell`` row under
+    #: ``"cell"``, or an ``"error"`` payload, plus solve metadata).
+    values: list[dict[str, Any]]
     cached: list[bool]
     summary: ExecutorSummary
     #: Structured records of the cells that could not be solved (empty
     #: for a clean sweep); each also appears in ``cells`` as an error
     #: row at its task-order position.
     failures: list[FailedCell] = field(default_factory=list)
-    #: Per-cell solve metadata in task order (everything the worker
-    #: returned except the row itself: attempts, effective_seed,
-    #: iterations, damping ladder diagnostics, ...).
-    meta: list[dict[str, Any]] = field(default_factory=list)
+
+    def rows(self) -> list[dict[str, Any]]:
+        """Each cell's ``GridCell.as_row()`` dict, in task order (fresh
+        dicts: callers may extend them)."""
+        failed = {failure.index: failure for failure in self.failures}
+        rows = []
+        for index, value in enumerate(self.values):
+            failure = failed.get(index)
+            if failure is None:
+                cell = value["cell"]
+                rows.append({name: cell[name] for name in _ROW_FIELDS})
+                continue
+            task = self.tasks[index]
+            rows.append(GridCell.failed(
+                protocol=task.protocol.label,
+                sharing=task.sharing_label,
+                n_processors=task.n,
+                method=task.method,
+                error=f"{failure.error_type}: {failure.message}").as_row())
+        return rows
+
+    @cached_property
+    def cells(self) -> list[GridCell]:
+        """The rows as :class:`GridCell` objects (built on first access;
+        failed cells are error rows)."""
+        return [GridCell(**row) for row in self.rows()]
+
+    @cached_property
+    def meta(self) -> list[dict[str, Any]]:
+        """Per-cell solve metadata in task order (everything the worker
+        returned except the row itself: attempts, effective_seed,
+        iterations, damping ladder diagnostics, ...)."""
+        return [{k: v for k, v in value.items() if k != "cell"}
+                for value in self.values]
 
 
 def failed_cell(index: int, task: CellTask,
@@ -664,35 +749,22 @@ def collect_sweep_result(tasks: Sequence[CellTask],
     payloads become error rows plus :class:`FailedCell` records,
     everything else a :class:`GridCell`, in task order.
     """
-    cells: list[GridCell] = []
-    failures: list[FailedCell] = []
-    meta: list[dict[str, Any]] = []
-    for index, task in enumerate(tasks):
-        value = values[index]
-        meta.append({k: v for k, v in value.items() if k != "cell"})
-        if value.get("error") is not None:
-            failure = failed_cell(index, task, value)
-            failures.append(failure)
-            cells.append(GridCell.failed(
-                protocol=task.protocol.label,
-                sharing=task.sharing_label,
-                n_processors=task.n,
-                method=task.method,
-                error=f"{failure.error_type}: {failure.message}"))
-        else:
-            cells.append(GridCell(**value["cell"]))
-
-    fresh = [index for index in range(len(tasks)) if not cached_flags[index]]
-    retries = sum(max(values[index].get("attempts", 1) - 1, 0)
-                  for index in fresh)
-    recovered = sum(1 for index in fresh if values[index].get("recovered"))
+    ordered = [values[index] for index in range(len(tasks))]
+    failures = [failed_cell(index, task, value)
+                for index, (task, value) in enumerate(zip(tasks, ordered))
+                if value.get("error") is not None]
+    fresh = [value for value, cached in zip(ordered, cached_flags)
+             if not cached]
+    retries = sum(max(value.get("attempts", 1) - 1, 0) for value in fresh)
+    recovered = sum(1 for value in fresh if value.get("recovered"))
     summary = ExecutorSummary(
         total=len(tasks), solved=len(fresh),
         cache_hits=sum(cached_flags), retries=retries,
         wall_seconds=wall_seconds, jobs=jobs, mode=mode,
         failed=len(failures), recovered=recovered)
-    return SweepResult(cells=cells, cached=list(cached_flags),
-                       summary=summary, failures=failures, meta=meta)
+    return SweepResult(tasks=tasks, values=ordered,
+                       cached=list(cached_flags), summary=summary,
+                       failures=failures)
 
 
 def run_reference(tasks: Sequence[CellTask]) -> SweepResult:

@@ -11,6 +11,7 @@ engine-independence of the executor's cache keys.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,11 @@ from repro.core.batch import (
 )
 from repro.core.equations import _p_busy
 from repro.core.model import TABLE_41_SIZES, CacheMVAModel
-from repro.core.solver import FixedPointSolver
+from repro.core.solver import (
+    SATURATION_KNEE_RATE,
+    FixedPointSolver,
+    estimate_contraction_rate,
+)
 from repro.protocols.modifications import ProtocolSpec, all_combinations
 from repro.workload.parameters import SharingLevel, appendix_a_workload
 
@@ -206,6 +211,161 @@ class TestBatchProperty:
                                 rel_tol=1e-6, abs_tol=TOL)
             assert diag.iterations == expected_diag.iterations
             assert diag.recovered == expected_diag.recovered
+
+
+def _stress_systems(solver):
+    from repro.analysis.stress import stress_tasks
+
+    return [CacheMVAModel(t.workload, t.protocol, arch=t.arch,
+                          solver=solver).system(t.n)
+            for t in stress_tasks(sizes=(1, 4, 16, 128), solver=solver)]
+
+
+class TestColumnarResult:
+    """The result is kept as columns; the per-cell objects are built on
+    first access and equal the scalar solver's eagerly built records."""
+
+    @pytest.mark.parametrize("max_iterations", [6, 12, 30])
+    def test_lazy_objects_equal_the_scalar_records(self, max_iterations):
+        solver = FixedPointSolver(max_iterations=max_iterations,
+                                  raise_on_divergence=False)
+        systems = _stress_systems(solver)
+        result = solve_batch(systems, solver=solver, traces=True)
+        warned = 0
+        for system, state, diag in zip(systems, result.states,
+                                       result.diagnostics):
+            expected_state, expected_diag = solver.solve_with_recovery(
+                system)
+            assert state == expected_state
+            # Everything but the cycle-time trace is bit-equal (messages
+            # and contraction rates included); the trace's sums may
+            # round differently in the last place.
+            assert dataclasses.replace(diag, trace=()) == \
+                dataclasses.replace(expected_diag, trace=())
+            assert diag.trace == pytest.approx(expected_diag.trace,
+                                               rel=1e-14)
+            warned += bool(diag.warnings)
+        assert warned > 0
+        assert result.warned.sum() == warned
+
+    def test_build_order_and_traces_do_not_change_the_objects(self):
+        solver = FixedPointSolver(max_iterations=12,
+                                  raise_on_divergence=False)
+        systems = _stress_systems(solver)
+        traced = solve_batch(systems, solver=solver, traces=True)
+        eager = traced.diagnostics  # built first, all at once
+        lean = solve_batch(systems, solver=solver, traces=False)
+        # One cell at a time, before the bulk build.
+        singles = [lean.diagnostic(i) for i in range(len(lean))]
+        assert [lean.warnings(i) for i in range(len(lean))] == \
+            [d.warnings for d in singles]
+        assert singles == lean.diagnostics
+        assert lean.diagnostics == [
+            dataclasses.replace(d, trace=(), residual_trace=())
+            for d in eager]
+        assert lean.states == traced.states
+        assert [d.iterations for d in eager] == lean.iterations.tolist()
+        assert [d.converged for d in eager] == lean.converged.tolist()
+        assert [d.damping for d in eager] == \
+            [lean.ladder[rung] for rung in lean.rung.tolist()]
+        assert [d.recovered for d in eager] == lean.recovered.tolist()
+        assert [s.cycle_time for s in lean.states] == \
+            lean.column("r_total").tolist()
+
+    def test_columns_without_recovery(self):
+        solver = FixedPointSolver(max_iterations=6,
+                                  raise_on_divergence=False)
+        result = solve_batch(_stress_systems(solver), solver=solver,
+                             recovery=False)
+        assert not result.warned.any()
+        assert not result.recovered.any()
+        assert result.ladder == (1.0,) and not result.rung.any()
+        assert all(d.warnings == () and d.ladder == (1.0,)
+                   for d in result.diagnostics)
+
+
+class TestContractionScreen:
+    """The vectorized rate only screens: every knee decision and every
+    reported rate is :func:`estimate_contraction_rate`'s."""
+
+    @staticmethod
+    def _traces():
+        rng = np.random.default_rng(7)
+        traces = [[1.0], [1.0, 0.5], [0.0, 0.0, 0.0],
+                  [1.0, 1e-15, 0.5, 0.25], [1e-20] * 6]
+        for ratio in (0.5, 0.9, 0.98 - 1e-12, 0.98, 0.98 + 1e-12, 0.999,
+                      1.2):
+            traces.append([ratio ** k for k in range(12)])
+        for _ in range(20):
+            traces.append(np.exp(np.cumsum(
+                rng.normal(-0.05, 0.05, rng.integers(2, 30)))).tolist())
+        return traces
+
+    def test_vectorized_rates_track_the_scalar_estimate(self):
+        from repro.core.batch import _contraction_rates
+
+        traces = self._traces()
+        width = max(len(t) for t in traces)
+        matrix = np.full((width, len(traces)), np.nan)
+        for column, trace in enumerate(traces):
+            matrix[:len(trace), column] = trace
+        rates = _contraction_rates(
+            matrix, np.array([len(t) for t in traces]))
+        for rate, trace in zip(rates.tolist(), traces):
+            assert rate == pytest.approx(estimate_contraction_rate(trace),
+                                         rel=1e-12, abs=0.0)
+
+    def test_knee_decisions_and_rates_are_exact(self):
+        from repro.core.batch import STATE_ROWS, BatchSolveResult
+
+        model = CacheMVAModel(appendix_a_workload(SharingLevel.FIVE_PERCENT))
+        batch = BatchEquationSystem([model.system(4)])
+        solver = FixedPointSolver()
+        for trace in self._traces():
+            result = BatchSolveResult(batch, solver, [1.0, 0.5],
+                                      recovery=True, traces=False)
+            matrix = np.array(trace)[:, None]
+            result.finalize(np.array([0]), np.array([0]),
+                            np.array([len(trace)]), np.array([trace[-1]]),
+                            True, 0, np.zeros((len(STATE_ROWS), 1)),
+                            matrix, None)
+            exact = estimate_contraction_rate(trace)
+            assert bool(result.warned[0]) == (exact >= SATURATION_KNEE_RATE)
+            for warning in result.warnings(0):
+                assert warning.code == "saturation-knee"
+                assert warning.contraction_rate == exact
+                assert warning.message.startswith(
+                    f"contraction rate {exact:.4f} ~ 1: ")
+
+    def test_reported_rates_are_the_scalar_bits(self):
+        """NumPy's log/exp differ from math's in the last place on a few
+        percent of traces; the rates a warning reports never do."""
+        from repro.core.batch import STATE_ROWS, BatchSolveResult
+
+        rng = np.random.default_rng(11)
+        lengths = rng.integers(6, 40, 400)
+        matrix = np.full((lengths.max(), lengths.size), np.nan)
+        for column, length in enumerate(lengths.tolist()):
+            matrix[:length, column] = np.exp(np.cumsum(
+                rng.normal(np.log(SATURATION_KNEE_RATE), 0.02, length)))
+        model = CacheMVAModel(appendix_a_workload(SharingLevel.FIVE_PERCENT))
+        result = BatchSolveResult(
+            BatchEquationSystem([model.system(4)] * lengths.size),
+            FixedPointSolver(), [1.0], recovery=True, traces=False)
+        cells = np.arange(lengths.size)
+        result.finalize(cells, cells, lengths, matrix[0], True, 0,
+                        np.zeros((len(STATE_ROWS), lengths.size)),
+                        matrix, None)
+        knees = 0
+        for column, length in enumerate(lengths.tolist()):
+            exact = estimate_contraction_rate(
+                matrix[:length, column].tolist())
+            assert bool(result.warned[column]) == \
+                (exact >= SATURATION_KNEE_RATE)
+            for warning in result.warnings(column):
+                assert warning.contraction_rate == exact
+                knees += 1
+        assert 0 < knees < lengths.size
 
 
 class TestEngineParityInExecutor:

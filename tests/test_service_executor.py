@@ -629,3 +629,160 @@ class TestSimCellsPersistPerLaunch:
         with pytest.raises(CellFailedError, match="cell on fire"):
             SweepExecutor(jobs=1, strict=True).run(tasks)
         assert launched == [1]
+
+
+def _timeless(value):
+    return {k: v for k, v in value.items() if k != "elapsed_s"}
+
+
+class TestBatchValueParity:
+    """The batch engine's cache values against the per-cell reference,
+    everything but ``elapsed_s``: rows, iterations, damping, recovery,
+    warning messages and contraction rates, and the error payloads of
+    cells that never converge (ladder, iterations, warnings)."""
+
+    @pytest.mark.parametrize("max_iterations", [6, 12, 30])
+    def test_stress_grid_values_match_the_reference(self, max_iterations):
+        from repro.analysis.stress import stress_tasks
+        from repro.service.executor import evaluate_mva_batch
+
+        tasks = stress_tasks(
+            solver=FixedPointSolver(max_iterations=max_iterations))
+        batch = evaluate_mva_batch(tasks)
+        reference = [evaluate_with_retry(task, 0) for task in tasks]
+        for task, got, expected in zip(tasks, batch, reference):
+            assert _timeless(got) == _timeless(expected), task
+        # The caps are small enough to exercise the ladder's warnings
+        # (and, below 30 sweeps, cells that never converge).
+        recovered = sum(1 for value in batch if value.get("recovered"))
+        failed = sum(1 for value in batch if "error" in value)
+        assert recovered > 0
+        assert (failed > 0) == (max_iterations < 30)
+
+
+class TestSharedDefaultSolver:
+    def test_tasks_share_one_frozen_solver(self):
+        from repro.service.executor import DEFAULT_SOLVER
+
+        first, second = _mva_task(2), _mva_task(4)
+        assert first.solver is second.solver is DEFAULT_SOLVER
+        assert DEFAULT_SOLVER == FixedPointSolver()
+        with pytest.raises(AttributeError):
+            DEFAULT_SOLVER.max_iterations = 3  # frozen: sharing is safe
+
+    def test_solve_request_keys_are_pinned(self):
+        """Cache keys hash the solver by value, so sharing one instance
+        leaves every persisted key valid."""
+        from repro.service.app import ModelService
+
+        _, tasks = ModelService().solve_prepare(
+            {"protocol": "1,4", "sharing": "20", "n": [1, 8, 32],
+             "workload": {"tau": 2.5}}, strict=True)
+        assert [task.key for task in tasks] == [
+            "396f326ec4f62a60d1075f832742c3bfd87d9839d11849aacb3b42b40a0f3e97",
+            "c3573a7acf4fb71b97c51099bfd1d2ee88b78e6ec2472f84458b39efa4d55113",
+            "3b1dd3f23a6f686e14404bb7c493e322c926814fd47a870f680904785a5d98a8",
+        ]
+        # The general (unprimed) path derives the same keys.
+        from repro.service.keys import task_key
+        assert [task_key(task) for task in tasks] == \
+            [task.key for task in tasks]
+
+
+def _long_way_rows(tasks, values, cached_flags):
+    """``/v1/solve`` rows rendered the long way: each value through a
+    ``GridCell`` and back with ``as_row()``."""
+    from repro.analysis.grid import GridCell
+    from repro.service.executor import failed_cell
+
+    rows = []
+    for index, (task, value, was_cached) in enumerate(
+            zip(tasks, values, cached_flags)):
+        if value.get("error") is not None:
+            failure = failed_cell(index, task, value)
+            cell = GridCell.failed(
+                protocol=task.protocol.label, sharing=task.sharing_label,
+                n_processors=task.n, method=task.method,
+                error=f"{failure.error_type}: {failure.message}")
+        else:
+            cell = GridCell(**value["cell"])
+        row = dict(cell.as_row(), cached=was_cached,
+                   status="error" if cell.error else "ok")
+        if value.get("attempts", 1) > 1:
+            row["attempts"] = value["attempts"]
+        if value.get("effective_seed") is not None:
+            row["effective_seed"] = value["effective_seed"]
+        if value.get("recovered"):
+            row["recovered"] = True
+            row["damping"] = value.get("damping")
+        rows.append(row)
+    return rows
+
+
+class TestSolveResponseRows:
+    """``/v1/solve`` rows come straight from the cache values; their
+    bytes equal the ``GridCell`` round trip's."""
+
+    def _encode(self, payload):
+        import json
+        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+    def test_ok_error_and_recovered_rows(self):
+        from repro.service.app import ModelService
+        from repro.service.executor import collect_sweep_result
+
+        service = ModelService()
+        request, tasks = service.solve_prepare(
+            {"protocol": "write-once", "n": [2, 4, 6, 8]}, strict=True)
+        values = [evaluate_with_retry(task, 0) for task in tasks]
+        # A rescued cell (real ladder value, retried once) and a dead
+        # one (real SolverError payload) in the same response.
+        rescued = evaluate_with_retry(_mva_task(10, solver=_RECOVERABLE), 0)
+        assert rescued["recovered"]
+        values[1] = dict(rescued, attempts=2)
+        values[2] = evaluate_with_retry(_mva_task(6, solver=_POISONED), 0)
+        assert "error" in values[2]
+        cached_flags = [False, False, False, True]
+        result = collect_sweep_result(
+            tasks, dict(enumerate(values)), cached_flags,
+            wall_seconds=0.0, jobs=1, mode="coalesced")
+        response = service.solve_response(request, result)
+        assert [row["status"] for row in response["results"]] == \
+            ["ok", "ok", "error", "ok"]
+        assert self._encode(response["results"]) == self._encode(
+            _long_way_rows(tasks, values, cached_flags))
+        # The lazily built cells and meta match the values too.
+        assert [cell.as_row() for cell in result.cells] == \
+            _long_way_cells(tasks, values)
+        assert result.meta[1]["attempts"] == 2
+        assert "cell" not in result.meta[0]
+
+    def test_http_body_rows_fresh_then_cached(self):
+        import json
+
+        from repro.service.app import ModelService
+        from repro.service.router import handle
+
+        service = ModelService()
+        body = json.dumps({"protocol": "1", "n": [1, 3, 9]}).encode()
+        _, tasks = service.solve_prepare(json.loads(body), strict=True)
+        values = [evaluate_with_retry(task, 0) for task in tasks]
+        for cached in (False, True):
+            response = handle(service, "POST", "/v1/solve", body)
+            assert response.status == 200
+            results = json.loads(response.body)["results"]
+            expected = self._encode(
+                _long_way_rows(tasks, values, [cached] * len(tasks)))
+            assert self._encode(results) == expected
+            assert expected in response.body
+
+
+def _long_way_cells(tasks, values):
+    """The ``GridCell.as_row()`` part of :func:`_long_way_rows`."""
+    import dataclasses
+
+    from repro.analysis.grid import GridCell
+
+    names = [f.name for f in dataclasses.fields(GridCell)]
+    return [{name: row[name] for name in names}
+            for row in _long_way_rows(tasks, values, [False] * len(tasks))]
